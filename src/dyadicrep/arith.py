@@ -16,6 +16,7 @@ __all__ = [
     "DyadicRational",
     "DyadicUnderflowError",
     "Solution",
+    "VerificationError",
     "ZERO",
     "dyadic",
     "dyadic_sum",
@@ -29,6 +30,10 @@ __all__ = [
 
 class DyadicUnderflowError(ArithmeticError):
     """Raised when a subtraction would produce a negative dyadic value."""
+
+
+class VerificationError(RuntimeError):
+    """An emitted candidate failed its exactness or bound re-check."""
 
 
 def _v2(n: int) -> int:

@@ -143,8 +143,9 @@ def expand_chain(
     it. A budget exhaustion ends the chain early with exhausted=True and
     the completed steps intact.
     """
-    if a_start < 2:
-        raise ValueError("a_start must be at least 2")
+    if a_start < 3:
+        # term values strictly decrease only from index 3 on (2/2^2 == 1/2^1)
+        raise ValueError("a_start must be at least 3")
     if depth < 1:
         raise ValueError("depth must be at least 1")
     source = a_start

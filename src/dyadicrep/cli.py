@@ -22,7 +22,7 @@ import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import verify_solution
+from .arith import VerificationError, verify_solution
 from .chains import (
     ChainCertificationError,
     expand_chain,
@@ -46,7 +46,7 @@ from .greedy import (
     greedy_representation,
     sweep,
 )
-from .search import VerificationError, run_search
+from .search import run_search
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,7 +58,6 @@ _VERIFY_ERRORS = (
     ChainCertificationError,
     CertificationError,
     FeasibilityError,
-    ArithmeticError,
 )
 
 
@@ -87,9 +86,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     def progress(done: int, total: int, found: int) -> None:
         _note(f"enumerate k={args.k}: {done}/{total} tasks, {found} found")
 
-    result = run_search(
-        args.k, jobs=args.jobs, checkpoint=args.checkpoint, progress=progress
-    )
+    result = run_search(args.k, jobs=args.jobs, progress=progress)
     for sol in result.solutions:
         if not verify_solution(sol):
             raise VerificationError(f"about to emit a non-solution: {sol}")
@@ -311,8 +308,6 @@ def _cmd_multiplicity(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
-    if args.a_start < 3:
-        raise ValueError("a_start must be at least 3")
     if args.depth < 1:
         raise ValueError("depth must be at least 1")
     if args.max_k < 1:
@@ -385,11 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int, help="number of terms (k >= 2)")
     p.add_argument(
         "--jobs", type=int, default=os.cpu_count() or 1, help="worker processes"
-    )
-    p.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        help="state file for resumable long runs (k >= 7)",
     )
     _add_format(p, "json")
     p.set_defaults(func=_cmd_enumerate)

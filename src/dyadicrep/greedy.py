@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith import Solution, term_sum
+from .arith import Solution, VerificationError, term_sum, verify_solution
 
 __all__ = [
     "DEFAULT_MAX_K",
@@ -180,7 +180,9 @@ def greedy_representation(
         return None
     out = tuple(emitted)
     if check and term_sum(out).as_fraction() != x:
-        raise ArithmeticError(f"greedy expansion of {x} failed its exactness re-check")
+        raise VerificationError(
+            f"greedy expansion of {x} failed its exactness re-check"
+        )
     return out
 
 
@@ -205,15 +207,10 @@ def greedy_for_n(
             "greedy expansion of %d/2^%d starts at %d, not n+1", n, n, emitted[0]
         )
     sol = Solution(n, tuple(emitted))
-    if check:
-        ak = sol.terms[-1]
-        rhs = 0
-        for a in sol.terms:
-            rhs += a << (ak - a)
-        if rhs != n << (ak - n):
-            raise ArithmeticError(
-                f"greedy expansion of {n}/2^{n} failed its exactness re-check"
-            )
+    if check and not verify_solution(sol):
+        raise VerificationError(
+            f"greedy expansion of {n}/2^{n} failed its exactness re-check"
+        )
     return len(sol.terms), sol
 
 
@@ -234,23 +231,14 @@ def _sweep_range(args: tuple[int, int, int, bool]) -> list[SweepRow]:
     for n in range(lo, hi):
         emitted, terminated = _greedy_walk(n + 1, n, 0, 1, max_k, check)
         if terminated:
-            sol = Solution(n, tuple(emitted))
-            if check and not _exact_for_n(n, sol.terms):
-                raise ArithmeticError(f"sweep expansion for n={n} failed re-check")
+            if check and not verify_solution(Solution(n, tuple(emitted))):
+                raise VerificationError(f"sweep expansion for n={n} failed re-check")
             rows.append(SweepRow(n, len(emitted), emitted[-1], True))
         else:
             rows.append(
                 SweepRow(n, len(emitted), emitted[-1] if emitted else 0, False)
             )
     return rows
-
-
-def _exact_for_n(n: int, terms: tuple[int, ...]) -> bool:
-    ak = terms[-1]
-    rhs = 0
-    for a in terms:
-        rhs += a << (ak - a)
-    return rhs == n << (ak - n)
 
 
 def sweep(

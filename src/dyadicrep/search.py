@@ -9,9 +9,10 @@ Pruning is by exact window bounds. At a node with m open slots and scaled
 remainder R, the next term a is viable only while R <= (best possible sum
 of m terms starting at a) and R >= (a's own term plus the least possible
 sum of m-1 terms below the global cap). Both windows are sums of runs of
-consecutive terms with a closed form, precomputed per (n, k). The final
-slot is never scanned: the remainder either is a term value or is not,
-and inverting a/2**a is a constant-time scan (see arith.invert_term).
+consecutive terms with a closed form, evaluated at the nodes the search
+visits. The final slot is never scanned: the remainder either is a term
+value or is not, and inverting a/2**a is a constant-time scan (see
+arith.invert_term).
 
 The first two levels of the tree (n, then the first unforced term) are
 planned sequentially with the same prune rules and become the work queue;
@@ -21,13 +22,18 @@ results and prune counters are reproducible for any --jobs.
 
 from __future__ import annotations
 
-import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .arith import DyadicRational, Solution, dyadic, verify_solution
+from .arith import (
+    DyadicRational,
+    Solution,
+    VerificationError,
+    dyadic,
+    verify_solution,
+)
 from .bounds import ak_bound_thm, forced_prefix_len, max_n, product_bound_holds
 
 __all__ = [
@@ -54,9 +60,7 @@ PRUNE_RULES = (
 
 _FORCED, _HIGH, _LOW, _NOTERM, _ORDER, _RANGE, _DIV, _PROD = range(8)
 
-
-class VerificationError(RuntimeError):
-    """An emitted candidate failed its exactness or bound re-check."""
+_PROGRESS_EVERY = 256
 
 
 def _run_sum_num(b: int, m: int) -> int:
@@ -92,30 +96,6 @@ class SearchResult:
     tasks: int
 
 
-@lru_cache(maxsize=8)
-def _tables(k: int, n: int):
-    """Scaled per-(n, k) lookup tables.
-
-    T[a] = a << (S-a); TU[m][a] = largest m-term sum starting at a, scaled
-    (0 where no such run fits under S); TL[m] = least m-term sum below S,
-    scaled (exactly the run-sum numerator, since its exponent is S itself).
-    """
-    S = ak_bound_thm(n, k)
-    T = [0] * (S + 1)
-    for a in range(1, S + 1):
-        T[a] = a << (S - a)
-    TU = [None] * (k + 1)
-    for m in range(1, k + 1):
-        row = [0] * (S + 2)
-        for a in range(1, S - m + 2):
-            row[a] = _run_sum_num(a, m) << (S - (a - 1 + m))
-        TU[m] = row
-    TL = [0] * k
-    for m in range(1, k):
-        TL[m] = _run_sum_num(S - m + 1, m)
-    return S, T, TU, TL
-
-
 def _close_term(R: int, S: int) -> int:
     """The unique a with a/2**a == R/2**S, or 0 when R is not a term value.
 
@@ -145,12 +125,12 @@ def _plan_n(k: int, n: int):
     when only the final slot is open).
     """
     counters = [0] * len(PRUNE_RULES)
-    S, T, TU, TL = _tables(k, n)
+    S = ak_bound_thm(n, k)
     j = forced_prefix_len(n, k)
     prefix = tuple(range(n + 1, n + 1 + j))
     R = n << (S - n)
     for a in prefix:
-        R -= T[a]
+        R -= a << (S - a)
     if R <= 0:
         counters[_FORCED] += 1
         return [], counters, 0
@@ -164,14 +144,13 @@ def _plan_n(k: int, n: int):
         hi = min(hi, n + 3)
     tasks = []
     nodes = 0
-    TUm = TU[m]
-    TLm = TL[m - 1]
+    low = _run_sum_num(S - m + 2, m - 1)
     for a in range(lo, hi + 1):
         nodes += 1
-        if R > TUm[a]:
+        if R > _run_sum_num(a, m) << (S - a + 1 - m):
             counters[_HIGH] += 1
             break
-        if R < T[a] + TLm:
+        if R < (a << (S - a)) + low:
             counters[_LOW] += 1
             continue
         tasks.append((k, n, prefix + (a,)))
@@ -182,11 +161,11 @@ def _explore_task(task: tuple[int, int, tuple[int, ...]]):
     """Full subtree below one frontier node. Returns (found, counters, nodes)
     with found as raw term tuples."""
     k, n, prefix = task
-    S, T, TU, TL = _tables(k, n)
+    S = ak_bound_thm(n, k)
     counters = [0] * len(PRUNE_RULES)
     R = n << (S - n)
     for a in prefix:
-        R -= T[a]
+        R -= a << (S - a)
     found: list[tuple[int, ...]] = []
     nodes = 0
 
@@ -208,16 +187,16 @@ def _explore_task(task: tuple[int, int, tuple[int, ...]]):
         if m == 1:
             close(last, R, chosen)
             return
-        TUm = TU[m]
-        TLm = TL[m - 1]
+        # least sum of the m-1 slots after this one: the top run below S
+        low = _run_sum_num(S - m + 2, m - 1)
         hi = S - m + 1
         for a in range(last + 1, hi + 1):
             nodes += 1
-            if R > TUm[a]:
+            if R > _run_sum_num(a, m) << (S - a + 1 - m):
                 counters[_HIGH] += 1
                 return
-            t = T[a]
-            if R < t + TLm:
+            t = a << (S - a)
+            if R < t + low:
                 counters[_LOW] += 1
                 continue
             rec(a, R - t, m - 1, chosen + (a,))
@@ -226,39 +205,16 @@ def _explore_task(task: tuple[int, int, tuple[int, ...]]):
     return found, counters, nodes
 
 
-def _format_node(n: int, prefix: Sequence[int]) -> str:
-    return f"{n};{','.join(map(str, prefix))}"
-
-
-def _parse_node(line: str) -> tuple[int, tuple[int, ...]]:
-    head, _, rest = line.partition(";")
-    prefix = tuple(int(t) for t in rest.split(",") if t)
-    return int(head), prefix
-
-
-def _atomic_write(path: str, lines: list[str]) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines))
-        if lines:
-            fh.write("\n")
-    os.replace(tmp, path)
-
-
 def run_search(
     k: int,
     *,
     jobs: int = 1,
-    checkpoint: str | None = None,
     progress: Callable[[int, int, int], None] | None = None,
-    checkpoint_every: int = 256,
 ) -> SearchResult:
-    """Enumerate every k-term solution, with counters and optional
-    checkpoint/resume.
+    """Enumerate every k-term solution, with prune counters.
 
-    The checkpoint file holds the pending frontier, one node per line as
-    ``n;a1,...,al``; completed solutions accumulate in a ``.solutions``
-    sidecar in the same format. Both are removed on a completed run.
+    progress(done, total, found) is called every _PROGRESS_EVERY tasks and
+    once at the end.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -266,90 +222,30 @@ def run_search(
         raise ValueError("jobs must be positive")
     counters = [0] * len(PRUNE_RULES)
     nodes = 0
-    raw_found: set[tuple[int, tuple[int, ...]]] = set()
-
-    sidecar = checkpoint + ".solutions" if checkpoint else None
-    if checkpoint and os.path.exists(checkpoint):
-        with open(checkpoint) as fh:
-            tasks = [
-                (k, *(_parse_node(line.strip())))
-                for line in fh
-                if line.strip()
-            ]
-        top = max_n(k)
-        for _, n, prefix in tasks:
-            if not 1 <= n <= top or not 0 < len(prefix) < k:
-                raise ValueError(
-                    f"checkpoint node {_format_node(n, prefix)!r} does not "
-                    f"belong to a k={k} search"
-                )
-        if sidecar and os.path.exists(sidecar):
-            with open(sidecar) as fh:
-                for line in fh:
-                    if line.strip():
-                        n, terms = _parse_node(line.strip())
-                        raw_found.add((n, terms))
-    else:
-        tasks = []
-        for n in range(1, max_n(k) + 1):
-            t, c, nn = _plan_n(k, n)
-            tasks.extend(t)
-            nodes += nn
-            for i, v in enumerate(c):
-                counters[i] += v
-        if checkpoint:
-            _atomic_write(checkpoint, [_format_node(n, p) for _, n, p in tasks])
+    tasks = []
+    for n in range(1, max_n(k) + 1):
+        t, c, nn = _plan_n(k, n)
+        tasks.extend(t)
+        nodes += nn
+        for i, v in enumerate(c):
+            counters[i] += v
 
     total = len(tasks)
-    done = 0
-    fresh: list[str] = []
-
-    def note(found: list[tuple[int, ...]], task) -> None:
-        nonlocal done
-        done += 1
-        _, n, _ = task
-        for terms in found:
-            key = (n, terms)
-            if key not in raw_found:
-                raw_found.add(key)
-                fresh.append(_format_node(n, terms))
-
-    def flush() -> None:
-        if not checkpoint:
-            return
-        if fresh and sidecar:
-            with open(sidecar, "a") as fh:
-                fh.write("\n".join(fresh) + "\n")
-            fresh.clear()
-        _atomic_write(
-            checkpoint, [_format_node(n, p) for _, n, p in tasks[done:]]
-        )
-
-    if jobs == 1:
-        for task in tasks:
-            found, c, nn = _explore_task(task)
-            note(found, task)
+    raw_found: list[tuple[int, tuple[int, ...]]] = []
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
+    with pool as ex:
+        if ex is None:
+            results = map(_explore_task, tasks)
+        else:
+            chunk = max(1, total // (jobs * 16))
+            results = ex.map(_explore_task, tasks, chunksize=chunk)
+        for done, (task, (found, c, nn)) in enumerate(zip(tasks, results), 1):
+            raw_found.extend((task[1], terms) for terms in found)
             nodes += nn
             for i, v in enumerate(c):
                 counters[i] += v
-            if done % checkpoint_every == 0:
-                flush()
-                if progress:
-                    progress(done, total, len(raw_found))
-    else:
-        chunk = max(1, total // (jobs * 16))
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            for task, (found, c, nn) in zip(
-                tasks, ex.map(_explore_task, tasks, chunksize=chunk)
-            ):
-                note(found, task)
-                nodes += nn
-                for i, v in enumerate(c):
-                    counters[i] += v
-                if done % checkpoint_every == 0:
-                    flush()
-                    if progress:
-                        progress(done, total, len(raw_found))
+            if progress and done % _PROGRESS_EVERY == 0:
+                progress(done, total, len(raw_found))
 
     solutions = []
     for n, terms in sorted(raw_found):
@@ -362,11 +258,7 @@ def run_search(
         solutions.append(sol)
 
     if progress:
-        progress(done, total, len(solutions))
-    if checkpoint:
-        for path in (checkpoint, sidecar):
-            if path and os.path.exists(path):
-                os.remove(path)
+        progress(total, total, len(solutions))
 
     return SearchResult(
         k=k,

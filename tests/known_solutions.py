@@ -10,7 +10,8 @@ of verified computation.
 
 # All solutions with exactly k terms, sorted by (n, terms). The k=8 set
 # has five members; the (35, ...) one is easy to confirm by hand:
-# scaled by 2^46 the right side sums to 71680 = 35 * 2^11.
+# scaled by 2^46 the right side sums to 71680 = 35 * 2^11. The k=9 and
+# k=10 sets go past the published k <= 8 lists.
 SMALL_K = {
     2: [
         (4, (5, 6)),
@@ -53,6 +54,22 @@ SMALL_K = {
         (35, (36, 37, 38, 39, 42, 43, 45, 46)),
         (197, (198, 199, 200, 201, 202, 203, 205, 206)),
         (502, (503, 504, 505, 506, 507, 508, 509, 510)),
+    ],
+    9: [
+        (7, (8, 9, 12, 13, 14, 15, 20, 21, 24)),
+        (32, (33, 34, 35, 36, 39, 42, 43, 45, 46)),
+        (73, (74, 75, 76, 77, 78, 81, 82, 85, 88)),
+        (220, (221, 222, 223, 224, 225, 226, 228, 229, 230)),
+        (1013, (1014, 1015, 1016, 1017, 1018, 1019, 1020, 1021, 1022)),
+    ],
+    10: [
+        (116, (117, 118, 119, 120, 121, 123, 124, 125, 126, 128)),
+        (125, (126, 127, 128, 129, 130, 131, 136, 139, 141, 142)),
+        (198, (199, 200, 201, 202, 203, 204, 206, 207, 213, 214)),
+        (199, (200, 201, 202, 203, 204, 205, 207, 208, 213, 214)),
+        (200, (201, 202, 203, 204, 205, 206, 208, 209, 213, 216)),
+        (586, (587, 588, 589, 590, 591, 592, 593, 594, 597, 600)),
+        (2036, (2037, 2038, 2039, 2040, 2041, 2042, 2043, 2044, 2045, 2046)),
     ],
 }
 

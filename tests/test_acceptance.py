@@ -66,8 +66,8 @@ def sweep_2000():
 
 
 def test_criterion_01_small_k_enumeration(capsys):
-    with criterion(1, "enumeration reproduces every solution list for k <= 7"):
-        for k in range(2, 8):
+    with criterion(1, "enumeration reproduces every solution list for k <= 8"):
+        for k in range(2, 9):
             want = [Solution(n, terms) for n, terms in SMALL_K[k]]
             assert enumerate_solutions(k) == want
         # byte-identical canonical output through the CLI
@@ -204,13 +204,6 @@ def test_criterion_10_property_suites(sweep_2000):
         for jobs in (4, 8):
             assert sweep(2, 300, jobs=jobs) == base_rows
             assert run_search(5, jobs=jobs) == base_search
-
-
-@pytest.mark.extended
-def test_criterion_01x_k8_enumeration():
-    with criterion(1, "enumeration k=8 finds all five solutions (extended)"):
-        want = [Solution(n, terms) for n, terms in SMALL_K[8]]
-        assert enumerate_solutions(8) == want
 
 
 @pytest.mark.extended

@@ -9,6 +9,7 @@ from dyadicrep.arith import (
     DyadicRational,
     DyadicUnderflowError,
     Solution,
+    VerificationError,
     dyadic,
     dyadic_sum,
     invert_term,
@@ -143,3 +144,11 @@ def test_str_forms():
     assert str(dyadic(3, 5)) == "3/2^5"
     assert str(dyadic(7, 0)) == "7"
     assert str(ZERO) == "0"
+
+
+def test_verification_error_is_one_class_everywhere():
+    import dyadicrep
+    import dyadicrep.search
+
+    assert dyadicrep.VerificationError is VerificationError
+    assert dyadicrep.search.VerificationError is VerificationError

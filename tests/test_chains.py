@@ -121,6 +121,16 @@ def test_expand_chain_domain():
         expand_chain(8, 0)
 
 
+def test_expand_chain_starts_at_index_three():
+    # 2/2^2 == 1/2^1, so index 2 is not a strictly smaller term value; the
+    # library and the CLI both start at 3
+    with pytest.raises(ValueError, match="at least 3"):
+        expand_chain(2, 3)
+    chain = expand_chain(3, 1)
+    assert chain.steps[0].first_term > 3
+    assert representation_count_certificate(chain) == 2
+
+
 def _tampered(chain, i, **changes):
     steps = list(chain.steps)
     steps[i] = replace(steps[i], **changes)

@@ -65,17 +65,6 @@ def test_enumerate_jobs_invariant_payload(capsys):
     ]
 
 
-def test_enumerate_checkpoint_completes_and_cleans_up(tmp_path, capsys):
-    cp = tmp_path / "state.txt"
-    code, out, _ = run_cli(
-        capsys, "enumerate", "4", "--format", "csv", "--checkpoint", str(cp)
-    )
-    assert code == 0
-    assert not cp.exists()
-    _, plain, _ = run_cli(capsys, "enumerate", "4", "--format", "csv")
-    assert out == plain
-
-
 def test_enumerate_usage_error(capsys):
     code, out, err = run_cli(capsys, "enumerate", "1")
     assert code == 2
@@ -352,6 +341,30 @@ def test_chain_budget_exhaustion(capsys):
 )
 def test_chain_usage_errors(capsys, argv):
     assert run_cli(capsys, *argv)[0] == 2
+
+
+# --- exit-code mapping ---------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv", [("greedy", "--n", "41"), ("sweep", "2", "5", "--jobs", "1")]
+)
+def test_failed_greedy_recheck_exits_4(capsys, monkeypatch, argv):
+    monkeypatch.setattr("dyadicrep.greedy.verify_solution", lambda sol: False)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert "verification failure" in err and "re-check" in err
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError, OverflowError])
+def test_arithmetic_bug_is_not_a_verification_failure(capsys, monkeypatch, exc):
+    def boom(*args, **kwargs):
+        raise exc("bug inside a command")
+
+    monkeypatch.setattr("dyadicrep.cli.greedy_for_n", boom)
+    with pytest.raises(exc):
+        main(["greedy", "--n", "41"])
+    assert "verification failure" not in capsys.readouterr().err
 
 
 # --- installed entry point ----------------------------------------------------

@@ -3,16 +3,12 @@ from itertools import combinations
 
 import pytest
 
-from dyadicrep.arith import Solution
-from dyadicrep.bounds import ak_bound_cor, max_n
+from dyadicrep.arith import Solution, verify_solution
+from dyadicrep.bounds import ak_bound_cor, product_bound_holds, trivial_solution
+from dyadicrep.congruence import congruence_holds, family_solution
 from dyadicrep.search import (
     PRUNE_RULES,
     _close_term,
-    _explore_task,
-    _format_node,
-    _parse_node,
-    _plan_n,
-    _tables,
     count_solutions,
     enumerate_solutions,
     run_search,
@@ -62,6 +58,24 @@ def test_enumeration_golden_sets(k):
 
 def test_counts():
     assert [count_solutions(k) for k in range(2, 8)] == [1, 6, 2, 4, 5, 5]
+
+
+# --- past the published range: facts every run must reproduce -----------
+
+@pytest.mark.parametrize(
+    "k,count,family_ns", [(9, 5, []), (10, 7, []), (11, 3, []), (12, 5, [3265])]
+)
+def test_extended_range_cross_checks(k, count, family_ns):
+    solutions = enumerate_solutions(k)
+    assert len(solutions) == count
+    assert trivial_solution(k) in solutions
+    families = [family_solution(u, k) for u in range(40) if congruence_holds(u, k)]
+    assert [sol.n for sol in families] == family_ns
+    for sol in families:
+        assert sol in solutions
+    for sol in solutions:
+        assert verify_solution(sol)
+        assert product_bound_holds(sol)
 
 
 # --- window bounds ------------------------------------------------------
@@ -126,6 +140,7 @@ def test_parallel_runs_reproduce_sequential_results():
     base = run_search(5)
     for jobs in (2, 4):
         assert run_search(5, jobs=jobs) == base
+    assert run_search(10, jobs=2) == run_search(10, jobs=1)
 
 
 def test_prune_counters_structure():
@@ -138,6 +153,23 @@ def test_prune_counters_structure():
     assert res.prune_counters["product_bound"] == 0
     assert res.prune_counters["tail_high"] > 0
     assert res.prune_counters["tail_low"] > 0
+
+
+def test_k8_work_counters_are_frozen():
+    # part of the enumerate payload: any change to the pruning windows or
+    # the planning split moves them
+    res = run_search(8)
+    assert (res.tasks, res.nodes) == (413, 1424)
+    assert res.prune_counters == {
+        "forced_infeasible": 0,
+        "tail_high": 469,
+        "tail_low": 618,
+        "close_no_term": 364,
+        "close_order": 0,
+        "close_range": 0,
+        "close_divisibility": 0,
+        "product_bound": 0,
+    }
 
 
 def test_progress_callback():
@@ -154,91 +186,3 @@ def test_domain_errors():
         run_search(1)
     with pytest.raises(ValueError):
         run_search(3, jobs=0)
-
-
-# --- checkpoint / resume -------------------------------------------------
-
-def test_node_format_round_trip():
-    assert _format_node(12, (13, 15)) == "12;13,15"
-    assert _parse_node("12;13,15") == (12, (13, 15))
-    assert _parse_node("7;") == (7, ())
-
-
-def test_checkpoint_files_removed_on_completion(tmp_path):
-    cp = str(tmp_path / "frontier.txt")
-    res = run_search(4, checkpoint=cp, checkpoint_every=1)
-    assert res == run_search(4)
-    assert not (tmp_path / "frontier.txt").exists()
-    assert not (tmp_path / "frontier.txt.solutions").exists()
-
-
-def test_checkpoint_resume_from_partial_state(tmp_path):
-    base = run_search(5)
-    # rebuild the planned frontier exactly as a fresh run would
-    tasks = []
-    for n in range(1, max_n(5) + 1):
-        t, _, _ = _plan_n(5, n)
-        tasks.extend(t)
-    half = len(tasks) // 2
-    done, pending = tasks[:half], tasks[half:]
-
-    # solutions already found by the completed half
-    found_lines = []
-    for task in done:
-        found, _, _ = _explore_task(task)
-        _, n, _ = task
-        found_lines.extend(_format_node(n, terms) for terms in found)
-
-    cp = tmp_path / "frontier.txt"
-    cp.write_text("".join(_format_node(n, p) + "\n" for _, n, p in pending))
-    (tmp_path / "frontier.txt.solutions").write_text(
-        "".join(line + "\n" for line in found_lines)
-    )
-
-    resumed = run_search(5, checkpoint=str(cp))
-    assert resumed.solutions == base.solutions
-    assert resumed.tasks == len(pending)
-    assert not cp.exists()
-
-
-def test_checkpoint_sidecar_deduplicates(tmp_path):
-    base = run_search(5)
-    # keep every task pending, but pre-record one known solution: the
-    # resumed run re-finds it and must not duplicate it
-    tasks = []
-    for n in range(1, max_n(5) + 1):
-        t, _, _ = _plan_n(5, n)
-        tasks.extend(t)
-    cp = tmp_path / "frontier.txt"
-    cp.write_text("".join(_format_node(n, p) + "\n" for _, n, p in tasks))
-    n0, terms0 = SMALL_K[5][0]
-    (tmp_path / "frontier.txt.solutions").write_text(
-        _format_node(n0, terms0) + "\n"
-    )
-    resumed = run_search(5, checkpoint=str(cp))
-    assert resumed.solutions == base.solutions
-
-
-@pytest.mark.parametrize(
-    "line",
-    [
-        "99999;5",  # n outside any k=5 search
-        "5;",  # empty prefix
-        "5;6,7,8,9,10",  # full-length tuple is not a frontier node
-        "abc;4",  # not an integer
-    ],
-)
-def test_checkpoint_rejects_foreign_nodes(tmp_path, line):
-    cp = tmp_path / "frontier.txt"
-    cp.write_text(line + "\n")
-    with pytest.raises(ValueError):
-        run_search(5, checkpoint=str(cp))
-
-
-def test_tables_shape():
-    S, T, TU, TL = _tables(3, 2)
-    assert S == 2 * 2 + 10  # ak_bound_thm(2, 3)
-    assert T[S] == S
-    assert T[1] == 1 << (S - 1)
-    assert TU[1][S] == S
-    assert TL[1] == S
