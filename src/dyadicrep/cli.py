@@ -30,7 +30,7 @@ from .chains import (
 )
 from .congruence import (
     EMBEDDED_US,
-    ITERATIVE_MODULUS_LIMIT,
+    PROVEN_PRIME_LIMIT,
     TABLE_ROWS,
     UnsupportedModulusError,
     check_row,
@@ -230,19 +230,20 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     rows = []
     skipped = []
     for u in range(args.u_max + 1):
-        if family_modulus(u) < ITERATIVE_MODULUS_LIMIT:
-            row = solve_congruence(u)
-            if row is not None:
-                rows.append((row.u, row.k0, row.r, "computed"))
+        if family_modulus(u) < PROVEN_PRIME_LIMIT:
+            row, status = solve_congruence(u), "computed"
         elif u in EMBEDDED_US:
-            row = table_row(u)
-            try:
-                check_row(row)
-            except ValueError as exc:
-                raise VerificationError(str(exc)) from exc
-            rows.append((row.u, row.k0, row.r, "verified-constant"))
+            row, status = table_row(u), "verified-constant"
         else:
             skipped.append(u)
+            continue
+        if row is None:
+            continue
+        try:
+            check_row(row)
+        except ValueError as exc:
+            raise VerificationError(str(exc)) from exc
+        rows.append((row.u, row.k0, row.r, status))
     if _fmt(args) == "csv":
         _emit_csv(("u", "k0", "r", "status"), rows)
     else:
@@ -259,7 +260,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     if skipped:
         _note(
             f"{len(skipped)} values of u ({skipped[0]}..{skipped[-1]}) are past "
-            "the order-computation policy and have no embedded row; skipped, "
+            "the proven-prime policy and have no embedded row; skipped, "
             "not claimed unsolvable"
         )
     return EXIT_OK
@@ -379,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("k", type=int, help="number of terms (k >= 2)")
     p.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1, help="worker processes"
+        "--jobs", type=int, default=1, help="worker processes (default: 1)"
     )
     _add_format(p, "json")
     p.set_defaults(func=_cmd_enumerate)
@@ -419,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--u-max",
         type=int,
         default=26,
-        help="largest u to report (rows past the order-computation policy "
-        "appear only where constants are embedded)",
+        help="largest u to report (every u <= 78 is decided; past that, "
+        "rows appear only where constants are embedded)",
     )
     _add_format(p, "csv")
     p.set_defaults(func=_cmd_table1)

@@ -7,46 +7,60 @@ For M = 2**(u+3) - 3, any k satisfying the congruence yields the solution
 
 and the solving k form the arithmetic progression k0 + t*r, r the
 multiplicative order of 2 mod M. Solving for k0 is a discrete logarithm:
-2**(k-1) == (-3u - 1) / 3 (mod M), done here by baby-step/giant-step.
+2**(k-1) == (-3u - 1) / 3 (mod M).
 
-Desk-scale policy: the multiplicative order is found by the literal
-doubling loop for moduli below 2**34; beyond that a caller must supply the
-factorization of a multiple of the order, which the shipped table never
-needs because the four rows whose moduli are out of range (u in
-{55, 99, 113, 119}) ship as constants verified by the modular identities
-3*2**(k0-1) + 3u + 1 == 0 and 2**r == 1 (mod M).
+Both are decided from factorizations. Pollard-Brent rho (Brent 1980)
+splits composites; primality is trial division by the primes up to 41
+and then strong probable-prime tests to the same 13 bases, which is a
+proof below psi_13 = 3317044064679887385961981 (Sorenson-Webster 2017).
+The order is the Carmichael exponent lambda(M) with primes stripped while
+2**(v/q) == 1, so each prime q of r carries the witness 2**(r/q) != 1.
+The logarithm is Pohlig-Hellman (1978) over the factored r, with
+baby-step/giant-step in each prime-order subgroup, and a missing
+component is a proof that u has no row.
+
+Policy: moduli at or past psi_13 raise UnsupportedModulusError unless the
+caller supplies a factored multiple of the order. That puts every u <= 78
+in range; the rows for u in {99, 113, 119} ship as constants verified by
+the modular identities 3*2**(k0-1) + 3u + 1 == 0 and 2**r == 1 (mod M).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from itertools import count
+from math import gcd, isqrt, prod
 from typing import Optional
 
-from .arith import Solution
+from .arith import Solution, VerificationError
 
 __all__ = [
     "EMBEDDED_US",
-    "ITERATIVE_MODULUS_LIMIT",
+    "PROVEN_PRIME_LIMIT",
     "TABLE_ROWS",
     "ProgressionRow",
     "UnsupportedModulusError",
     "bsgs_dlog",
     "check_row",
     "congruence_holds",
+    "factorize",
     "family_modulus",
     "family_n",
     "family_solution",
+    "is_prime",
     "mult_order",
     "solve_congruence",
     "table_row",
 ]
 
-ITERATIVE_MODULUS_LIMIT = 1 << 34
+# psi_13: the least strong pseudoprime to all of the 13 prime bases 2..41
+PROVEN_PRIME_LIMIT = 3317044064679887385961981
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 class UnsupportedModulusError(ValueError):
-    """Order computation out of the supported desk-scale range."""
+    """A number at or past PROVEN_PRIME_LIMIT, where primality is unproven."""
 
 
 def family_modulus(u: int) -> int:
@@ -90,6 +104,96 @@ def family_solution(u: int, k: int) -> Optional[Solution]:
     return Solution(n, terms)
 
 
+def is_prime(n: int) -> bool:
+    """Proven primality of n < PROVEN_PRIME_LIMIT: trial division by the
+    primes up to 41, then strong probable-prime tests to those 13 bases,
+    which no composite below psi_13 passes. Raises UnsupportedModulusError
+    for larger n."""
+    if n >= PROVEN_PRIME_LIMIT:
+        raise UnsupportedModulusError(f"{n} >= psi_13: primality unproven")
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_split(n: int) -> int:
+    """A proper divisor of the odd composite n with no prime factor up to
+    41: Brent's cycle-finding variant of Pollard rho on y -> y*y + c, with
+    gcds batched over 128 steps. Deterministic: c runs 1, 2, ... until a
+    walk splits n."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r <<= 1
+        if g == n:  # the batch overshot: redo its steps one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of 1 <= n < PROVEN_PRIME_LIMIT, primes
+    ascending, each proven prime by is_prime."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    out: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    todo = [n] if n > 1 else []
+    while todo:
+        m = todo.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho_split(m)
+            todo += (d, m // d)
+    return dict(sorted(out.items()))
+
+
+def _carmichael(modulus: int) -> tuple[int, dict[int, int]]:
+    """lambda(modulus) for odd modulus, the lcm of p**(e-1) * (p-1) over
+    the prime powers p**e of modulus, and its factorization."""
+    lam: dict[int, int] = {}
+    for p, e in factorize(modulus).items():
+        part = factorize(p - 1)
+        if e > 1:
+            part[p] = e - 1
+        for q, f in part.items():
+            lam[q] = max(lam.get(q, 0), f)
+    return prod(q**f for q, f in lam.items()), lam
+
+
 def mult_order(
     modulus: int,
     *,
@@ -98,44 +202,40 @@ def mult_order(
 ) -> int:
     """Least v >= 1 with 2**v == 1 (mod modulus), for odd modulus >= 3.
 
-    Without hints this is the literal doubling loop, supported for moduli
-    below 2**34 (it runs exactly ord iterations). With order_multiple and
-    its prime factorization {p: e}, any modulus is supported: the multiple
-    is reduced by stripping primes while the power stays 1.
+    A multiple of the order with its prime factorization {p: e} is reduced
+    by stripping primes while the power stays 1. Without hints the
+    multiple is lambda(modulus), computed from the factorization of the
+    modulus; that needs modulus < PROVEN_PRIME_LIMIT. With order_multiple
+    and factors, any modulus is supported.
     """
     if modulus < 3 or modulus % 2 == 0:
         raise ValueError("modulus must be an odd integer >= 3")
-    if order_multiple is not None:
-        if factors is None:
-            raise ValueError("order_multiple needs its factorization")
-        if pow(2, order_multiple, modulus) != 1:
-            raise ValueError("order_multiple is not a multiple of the order")
-        v = order_multiple
-        for p in factors:
-            while v % p == 0 and pow(2, v // p, modulus) == 1:
-                v //= p
-        return v
-    if modulus >= ITERATIVE_MODULUS_LIMIT:
-        raise UnsupportedModulusError(
-            f"modulus {modulus} >= 2^34: supply order_multiple with factors"
-        )
-    x = 2 % modulus
-    v = 1
-    while x != 1:
-        x <<= 1
-        if x >= modulus:
-            x -= modulus
-        v += 1
+    if order_multiple is None:
+        if modulus >= PROVEN_PRIME_LIMIT:
+            raise UnsupportedModulusError(
+                f"modulus {modulus} >= psi_13: supply order_multiple with factors"
+            )
+        order_multiple, factors = _carmichael(modulus)
+    elif factors is None:
+        raise ValueError("order_multiple needs its factorization")
+    if pow(2, order_multiple, modulus) != 1:
+        raise ValueError("order_multiple is not a multiple of the order")
+    v = order_multiple
+    for p in factors:
+        while v % p == 0 and pow(2, v // p, modulus) == 1:
+            v //= p
     return v
 
 
-def bsgs_dlog(target: int, modulus: int, order: int) -> Optional[int]:
-    """Least e in [0, order) with 2**e == target (mod modulus), or None.
+def bsgs_dlog(
+    target: int, modulus: int, order: int, *, base: int = 2
+) -> Optional[int]:
+    """Least e in [0, order) with base**e == target (mod modulus), or None.
 
-    Baby-step/giant-step over the cyclic group generated by 2: baby table
-    of 2**j for j < ceil(sqrt(order)) keeping the smallest j per value,
-    then giant strides by 2**-m. Scanning stride indices upward and keeping
-    minimal j makes the first hit the least exponent.
+    Baby-step/giant-step over the cyclic group generated by base: baby
+    table of base**j for j < ceil(sqrt(order)) keeping the smallest j per
+    value, then giant strides by base**-m. Scanning stride indices upward
+    and keeping minimal j makes the first hit the least exponent.
     """
     if order < 1:
         raise ValueError("order must be positive")
@@ -146,8 +246,8 @@ def bsgs_dlog(target: int, modulus: int, order: int) -> Optional[int]:
     for j in range(m):
         if x not in baby:
             baby[x] = j
-        x = (x << 1) % modulus
-    stride = pow(x, -1, modulus)  # x == 2**m mod modulus after the loop
+        x = x * base % modulus
+    stride = pow(x, -1, modulus)  # x == base**m mod modulus after the loop
     y = target
     for i in range((order + m - 1) // m):
         j = baby.get(y)
@@ -155,6 +255,33 @@ def bsgs_dlog(target: int, modulus: int, order: int) -> Optional[int]:
             return i * m + j
         y = y * stride % modulus
     return None
+
+
+def _pohlig_hellman(
+    target: int, modulus: int, order: int, factors: dict[int, int]
+) -> Optional[int]:
+    """The e in [0, order) with 2**e == target (mod modulus), or None, for
+    order = ord(2) with factorization {q: f}. Each component e mod q**f is
+    found digit by digit in the subgroup of order q; when every component
+    has a logarithm, (target * 2**-e)**(order/q**f) == 1 for every q, so
+    target == 2**e, and a component without one proves there is no e."""
+    e, done = 0, 1
+    for q, f in factors.items():
+        qf = q**f
+        g = pow(2, order // qf, modulus)  # order q**f
+        h = pow(target, order // qf, modulus)
+        gamma = pow(g, qf // q, modulus)  # order q
+        g_inv = pow(g, -1, modulus)
+        x = 0
+        for i in range(f):
+            t = pow(h * pow(g_inv, x, modulus), qf // q ** (i + 1), modulus)
+            d = bsgs_dlog(t, modulus, q, base=gamma)
+            if d is None:
+                return None
+            x += d * q**i
+        e += done * ((x - e) * pow(done, -1, qf) % qf)
+        done *= qf
+    return e
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,8 +296,9 @@ class ProgressionRow:
 
 def check_row(row: ProgressionRow) -> None:
     """Modular identity checks: the congruence holds at k0 and 2**r == 1.
-    Raises ValueError on failure. (Least-ness of k0 and r is established by
-    computation for rows within the desk-scale policy, not re-proved here.)"""
+    Raises ValueError on failure. (Least-ness is established by
+    solve_congruence, not re-proved here: r is reduced from lambda(M) over
+    proven primes, and k0 - 1 is the unique logarithm in [0, r).)"""
     m = family_modulus(row.u)
     if not 1 <= row.k0 <= row.r:
         raise ValueError(f"u={row.u}: k0 must lie in [1, r]")
@@ -180,23 +308,27 @@ def check_row(row: ProgressionRow) -> None:
         raise ValueError(f"u={row.u}: 2^r != 1 mod {m}")
 
 
-def solve_congruence(u: int, *, order: Optional[int] = None) -> Optional[ProgressionRow]:
+def solve_congruence(u: int) -> Optional[ProgressionRow]:
     """The progression row for u, or None when -(3u+1)/3 is not a power of
-    2 mod M. Raises UnsupportedModulusError for moduli past the iterative
-    policy when no order is supplied."""
+    2 mod M; both outcomes are decided, not searched for. Raises
+    UnsupportedModulusError for M >= PROVEN_PRIME_LIMIT (u >= 79)."""
     m = family_modulus(u)
-    r = mult_order(m) if order is None else order
+    r = mult_order(m)
     c = (-3 * u - 1) * pow(3, -1, m) % m
-    e = bsgs_dlog(c, m, r)
+    if pow(c, r, m) != 1:  # c lies outside the group generated by 2
+        return None
+    e = _pohlig_hellman(c, m, r, factorize(r))
     if e is None:
         return None
+    if pow(2, e, m) != c:
+        raise VerificationError(f"u={u}: Pohlig-Hellman gave 2^{e} != {c} mod {m}")
     return ProgressionRow(u, e + 1, r)
 
 
-# Progression table for every u <= 26 admitting a solution, plus the four
-# out-of-policy rows shipped as verified constants (see check_row; the
-# regular test suite recomputes every row below u=27 from scratch).
-EMBEDDED_US = frozenset({55, 99, 113, 119})
+# Progression table of the paper: every u <= 78 admitting a row (all are
+# recomputed by solve_congruence), plus the three rows past the proven-
+# prime policy, shipped as constants verified by check_row.
+EMBEDDED_US = frozenset({99, 113, 119})
 
 TABLE_ROWS: tuple[ProgressionRow, ...] = (
     ProgressionRow(0, 4, 4),

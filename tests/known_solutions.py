@@ -85,8 +85,9 @@ SWEEP_PEAKS = {
     5588: (226913, 460536),
 }
 
-# Progression rows (u, k0, r) recomputable within the iterative order
-# policy (modulus < 2^34, i.e. u <= 31), keyed by u.
+# Progression rows (u, k0, r) for every u <= 31 that has one, keyed by u.
+# (u = 55, the only other row below the proven-prime policy bound at
+# u = 78, is compared with its published constant instead.)
 COMPUTED_ROWS = {
     0: (4, 4),
     1: (5, 12),

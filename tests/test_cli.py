@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dyadicrep
-from dyadicrep.cli import main
+from dyadicrep.cli import build_parser, main
 from dyadicrep.congruence import (
     TABLE_ROWS,
     ProgressionRow,
@@ -63,6 +63,12 @@ def test_enumerate_jobs_invariant_payload(capsys):
     assert out1.splitlines()[1:] == [
         f"{n},{' '.join(map(str, terms))}" for n, terms in SMALL_K[4]
     ]
+
+
+def test_enumerate_jobs_defaults_to_one():
+    # a worker pool only pays off from k=14 on
+    assert build_parser().parse_args(["enumerate", "8"]).jobs == 1
+    assert build_parser().parse_args(["enumerate", "8", "--jobs", "2"]).jobs == 2
 
 
 def test_enumerate_usage_error(capsys):
@@ -222,21 +228,17 @@ def test_table1_json(capsys):
     assert all(r["status"] == "computed" for r in payload["rows"])
 
 
-def test_table1_full_range_with_embedded_rows(capsys, monkeypatch):
-    # orders for 2^30 <= M < 2^34 take minutes; stand in for the solver with
-    # the already-verified table so the assembly and formatting paths run
-    by_u = {row.u: row for row in TABLE_ROWS}
-    monkeypatch.setattr("dyadicrep.cli.solve_congruence", lambda u: by_u.get(u))
+def test_table1_full_range_with_embedded_rows(capsys):
     code, out, err = run_cli(capsys, "table1", "--u-max", "119", "--format", "csv")
     assert code == 0
     expect = ["u,k0,r,status"] + [
         f"{row.u},{row.k0},{row.r},"
-        + ("computed" if row.u <= 31 else "verified-constant")
+        + ("computed" if row.u <= 78 else "verified-constant")
         for row in TABLE_ROWS
     ]
     assert out.splitlines() == expect
     assert "skipped, not claimed unsolvable" in err
-    assert "(32..118)" in err  # 119 itself is embedded, 118 is the last skip
+    assert "(79..118)" in err  # 119 itself is embedded, 118 is the last skip
 
 
 def test_table1_corrupt_embedded_row_exits_4(capsys, monkeypatch):
@@ -245,7 +247,16 @@ def test_table1_corrupt_embedded_row_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(
         "dyadicrep.cli.table_row", lambda u: ProgressionRow(u, 1, 4)
     )
-    code, out, err = run_cli(capsys, "table1", "--u-max", "55")
+    code, out, err = run_cli(capsys, "table1", "--u-max", "99")
+    assert code == 4
+    assert "verification failure" in err
+
+
+def test_table1_corrupt_computed_row_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "dyadicrep.cli.solve_congruence", lambda u: ProgressionRow(u, 1, 4)
+    )
+    code, out, err = run_cli(capsys, "table1", "--u-max", "3")
     assert code == 4
     assert "verification failure" in err
 

@@ -1,18 +1,23 @@
+import random
+from math import prod
+
 import pytest
 
-from dyadicrep.arith import verify_solution
+from dyadicrep.arith import VerificationError, verify_solution
 from dyadicrep.congruence import (
     EMBEDDED_US,
-    ITERATIVE_MODULUS_LIMIT,
+    PROVEN_PRIME_LIMIT,
     TABLE_ROWS,
     ProgressionRow,
     UnsupportedModulusError,
     bsgs_dlog,
     check_row,
     congruence_holds,
+    factorize,
     family_modulus,
     family_n,
     family_solution,
+    is_prime,
     mult_order,
     solve_congruence,
     table_row,
@@ -96,12 +101,14 @@ def test_check_row_rejects_corrupt_rows(bad):
 
 
 def test_embedded_rows_are_the_out_of_policy_ones():
-    assert EMBEDDED_US == {55, 99, 113, 119}
+    assert EMBEDDED_US == {99, 113, 119}
     for row in TABLE_ROWS:
         if row.u in EMBEDDED_US:
-            assert family_modulus(row.u) >= ITERATIVE_MODULUS_LIMIT
+            assert family_modulus(row.u) >= PROVEN_PRIME_LIMIT
         else:
-            assert family_modulus(row.u) < ITERATIVE_MODULUS_LIMIT
+            assert family_modulus(row.u) < PROVEN_PRIME_LIMIT
+    # u=78 is the last modulus inside the policy
+    assert family_modulus(78) < PROVEN_PRIME_LIMIT <= family_modulus(79)
 
 
 def test_table_row_lookup():
@@ -112,11 +119,10 @@ def test_table_row_lookup():
 
 
 def test_recompute_table_rows_within_policy():
-    # every computed row up to u=22 is reproduced from scratch
+    # every computed row, and the published u=55 constant, from scratch
     for u, (k0, r) in COMPUTED_ROWS.items():
-        if u > 22:
-            continue
         assert solve_congruence(u) == ProgressionRow(u, k0, r)
+    assert solve_congruence(55) == table_row(55)
 
 
 def test_no_other_u_below_23_has_a_row():
@@ -126,17 +132,19 @@ def test_no_other_u_below_23_has_a_row():
             assert solve_congruence(u) is None
 
 
-@pytest.mark.extended
-def test_recompute_u26_row():
-    # order 536870908 runs the full doubling loop: about half a minute
-    assert solve_congruence(26) == ProgressionRow(26, 96489490, 536870908)
-    for u in (23, 24, 25):
-        assert solve_congruence(u) is None
-
-
 def test_solve_congruence_out_of_policy():
     with pytest.raises(UnsupportedModulusError):
-        solve_congruence(32)
+        solve_congruence(79)
+
+
+def test_inconsistent_logarithm_is_an_error(monkeypatch):
+    # a Pohlig-Hellman result that fails the final check must not be
+    # mistaken for "no row"
+    monkeypatch.setattr(
+        "dyadicrep.congruence._pohlig_hellman", lambda c, m, r, f: 0
+    )
+    with pytest.raises(VerificationError):
+        solve_congruence(2)
 
 
 # --- multiplicative order -------------------------------------------------
@@ -187,7 +195,61 @@ def test_mult_order_domain():
     with pytest.raises(ValueError):
         mult_order(11, order_multiple=7, factors={7: 1})  # not a multiple
     with pytest.raises(UnsupportedModulusError):
-        mult_order((1 << 35) - 3)
+        mult_order((1 << 82) - 3)
+    # hints lift the policy
+    u99 = table_row(99)
+    m99 = family_modulus(99)
+    assert mult_order(m99, order_multiple=u99.r, factors={2: 1}) == u99.r
+
+
+def test_mult_order_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for u in range(79):
+        m = family_modulus(u)
+        assert mult_order(m) == sympy.n_order(2, m)
+    rng = random.Random(20201)
+    for _ in range(40):
+        m = rng.randrange(3, 1 << 64, 2)
+        assert mult_order(m) == sympy.n_order(2, m)
+
+
+# --- primality and factoring ----------------------------------------------
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to the bases 2..23
+        318665857834031151167461,  # psi_12: strong pseudoprime to 2..37
+        43 * 43,
+        ((1 << 61) - 1) * ((1 << 19) - 1),
+    ],
+)
+def test_is_prime_rejects_composites(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_against_trial_division():
+    primes = [n for n in range(2000) if n > 1 and all(n % d for d in range(2, n))]
+    assert [n for n in range(2000) if is_prime(n)] == primes
+    for p in ((1 << 61) - 1, (1 << 31) - 1, 26202761468337431):
+        assert is_prime(p)
+    with pytest.raises(UnsupportedModulusError):
+        is_prime(PROVEN_PRIME_LIMIT)
+
+
+def test_factorize_round_trip():
+    rng = random.Random(7)
+    cases = [1, 2, 97 * 97, 1000003**3, 4294967311**2, 2**10 * 3**4]
+    cases += [family_modulus(67), family_modulus(72)]
+    cases += [rng.randrange(1, 1 << 64) for _ in range(20)]
+    for n in cases:
+        got = factorize(n)
+        assert list(got) == sorted(got)
+        assert all(is_prime(p) and e >= 1 for p, e in got.items())
+        assert prod(p**e for p, e in got.items()) == n
+    with pytest.raises(ValueError):
+        factorize(0)
 
 
 # --- discrete logarithm ---------------------------------------------------
@@ -197,6 +259,16 @@ def test_bsgs_matches_exhaustive_scan(m):
     order = mult_order(m)
     for e in range(order):
         assert bsgs_dlog(pow(2, e, m), m, order) == e
+
+
+@pytest.mark.parametrize("m, base", [(101, 3), (101, 5), (8191, 3), (91, 10)])
+def test_bsgs_other_base_matches_exhaustive_scan(m, base):
+    order = next(v for v in range(1, m) if pow(base, v, m) == 1)
+    powers = {}
+    for e in range(order):
+        powers.setdefault(pow(base, e, m), e)
+    for target in range(m):
+        assert bsgs_dlog(target, m, order, base=base) == powers.get(target)
 
 
 def test_bsgs_misses():
