@@ -124,8 +124,17 @@ class ChainResult:
         return len(self.steps)
 
 
+_DIGEST_CHUNK = 4096
+
+
 def _digest(terms: Sequence[int]) -> str:
-    return hashlib.sha256(",".join(map(str, terms)).encode()).hexdigest()
+    """sha256 of the comma-joined terms, fed a chunk at a time so that a
+    million-term step never holds all its decimal strings at once."""
+    h = hashlib.sha256()
+    for i in range(0, len(terms), _DIGEST_CHUNK):
+        chunk = ",".join(map(str, terms[i : i + _DIGEST_CHUNK]))
+        h.update((("," if i else "") + chunk).encode())
+    return h.hexdigest()
 
 
 def expand_chain(

@@ -7,12 +7,17 @@ a single class mod lcm(m, n). A k lying in the intersection of several
 rows' progressions admits one solution family per row, all with distinct
 second-largest terms n+k+u, plus the trivial solution, giving a certified
 lower bound on how many solutions that k has.
+
+scan_subsets finds the compatible m-subsets of a row list by a depth-first
+search that intersects one more row per level and never extends a prefix
+whose intersection is already empty. Since intersecting more classes can
+only shrink the set, no compatible subset lies below an empty prefix, so
+the pruned search returns exactly what checking every subset would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 from typing import Optional, Sequence
 
@@ -66,13 +71,17 @@ def crt_pair(a: CongruenceClass, b: CongruenceClass) -> Optional[CongruenceClass
     return CongruenceClass((a.residue + a.modulus * t) % l, l)
 
 
+def _row_class(row: ProgressionRow) -> CongruenceClass:
+    return CongruenceClass(row.k0 % row.r, row.r)
+
+
 def combine_rows(rows: Sequence[ProgressionRow]) -> Optional[CongruenceClass]:
     """Fold crt_pair over the classes (k0 mod r) of the given rows."""
     if not rows:
         raise ValueError("combine_rows needs at least one row")
-    acc = CongruenceClass(rows[0].k0 % rows[0].r, rows[0].r)
+    acc = _row_class(rows[0])
     for row in rows[1:]:
-        nxt = crt_pair(acc, CongruenceClass(row.k0 % row.r, row.r))
+        nxt = crt_pair(acc, _row_class(row))
         if nxt is None:
             return None
         acc = nxt
@@ -83,14 +92,32 @@ def scan_subsets(
     rows: Sequence[ProgressionRow], m: int
 ) -> list[tuple[tuple[int, ...], CongruenceClass]]:
     """All m-subsets of rows whose progressions intersect, as
-    (ascending u-tuple, combined class), in combinations order."""
+    (ascending u-tuple, combined class), in combinations order.
+
+    Depth-first over row indices in ascending order: a node holds the
+    intersection of the rows chosen so far and is extended by crt_pair with
+    each later row, so every prefix is combined once for all the subsets
+    that contain it. An empty prefix is not extended (exact: adding rows
+    only shrinks an intersection). Children are visited in index order, so
+    leaves appear in exactly the order itertools.combinations lists them.
+    """
     if not 1 <= m <= len(rows):
         raise ValueError("subset size out of range")
+    classes = [_row_class(row) for row in rows]
     out = []
-    for subset in combinations(rows, m):
-        combined = combine_rows(subset)
-        if combined is not None:
-            out.append((tuple(r.u for r in subset), combined))
+
+    def extend(start: int, us: tuple[int, ...], acc: CongruenceClass) -> None:
+        if len(us) == m:
+            out.append((us, acc))
+            return
+        # leave room for the m - len(us) - 1 rows still to come after i
+        for i in range(start, len(rows) - (m - len(us)) + 1):
+            nxt = crt_pair(acc, classes[i])
+            if nxt is not None:
+                extend(i + 1, us + (rows[i].u,), nxt)
+
+    for i in range(len(rows) - m + 1):
+        extend(i + 1, (rows[i].u,), classes[i])
     return out
 
 

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from dyadicrep.chains import (
+    _DIGEST_CHUNK,
     HALF_PREFIXES,
     ChainCertificationError,
     ChainResult,
+    _digest,
     expand_chain,
     representation_count_certificate,
     tail_sum,
@@ -185,3 +187,15 @@ def test_expand_chain_depth_nine_golden():
     assert not chain.exhausted
     assert [(s.k, s.last_term) for s in chain.steps] == list(CHAIN_8)
     assert representation_count_certificate(chain) == 10
+
+
+_C = _DIGEST_CHUNK
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 7, _C - 1, _C, _C + 1, 2 * _C, 3 * _C + 5])
+def test_streamed_digest_equals_joined_digest(length):
+    # the chunked hash must equal the hash of the one-piece join, also when
+    # the list ends on or just past a chunk boundary
+    terms = tuple(range(3, 3 + 7 * length, 7))
+    joined = ",".join(map(str, terms)).encode()
+    assert _digest(terms) == hashlib.sha256(joined).hexdigest()

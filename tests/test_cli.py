@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -8,6 +10,8 @@ from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dyadicrep
 from dyadicrep.cli import build_parser, main
@@ -376,6 +380,34 @@ def test_arithmetic_bug_is_not_a_verification_failure(capsys, monkeypatch, exc):
     with pytest.raises(exc):
         main(["greedy", "--n", "41"])
     assert "verification failure" not in capsys.readouterr().err
+
+
+def run_cli_quiet(*argv):
+    """Exit code of an in-process run, argparse's SystemExit included, with
+    stdout and stderr captured; a traceback propagates as a test failure."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers())
+def test_fuzz_multiplicity_subset_size(size):
+    code, err = run_cli_quiet("multiplicity", "--subset-size", str(size))
+    assert code == (0 if 1 <= size <= len(TABLE_ROWS) else 2)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(u_max=st.integers(min_value=-10**6, max_value=60))
+def test_fuzz_table1_u_max(u_max):
+    code, err = run_cli_quiet("table1", "--u-max", str(u_max), "--format", "csv")
+    assert code == (0 if u_max >= 0 else 2)
+    assert "Traceback" not in err
 
 
 # --- installed entry point ----------------------------------------------------

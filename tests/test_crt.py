@@ -1,7 +1,10 @@
-from math import gcd, lcm
+import random
+from itertools import combinations
+from math import comb, gcd, lcm
 
 import pytest
 
+import dyadicrep.crt as crt_module
 from dyadicrep.congruence import TABLE_ROWS, ProgressionRow, congruence_holds, table_row
 from dyadicrep.crt import (
     CertificationError,
@@ -93,6 +96,66 @@ def test_four_subset_scan_matches_golden():
 
 def test_no_five_subset_is_compatible():
     assert scan_subsets(TABLE_ROWS, 5) == []
+
+
+def brute_force_scan(rows, m):
+    """Reference scan: combine every m-subset from scratch."""
+    out = []
+    for subset in combinations(rows, m):
+        combined = combine_rows(subset)
+        if combined is not None:
+            out.append((tuple(r.u for r in subset), combined))
+    return out
+
+
+def test_scan_subsets_matches_brute_force_on_table_rows():
+    for m in range(1, len(TABLE_ROWS) + 1):
+        assert scan_subsets(TABLE_ROWS, m) == brute_force_scan(TABLE_ROWS, m)
+
+
+def test_scan_subsets_matches_brute_force_on_synthetic_rows():
+    # small moduli dividing 24, most rows holding one hidden k: compatible
+    # subsets reach depth 10 and more, while the stray rows make empty
+    # prefixes that the search must prune
+    rng = random.Random(20240917)
+    deepest, pruned = 0, 0
+    for _ in range(30):
+        hidden = rng.randrange(24)
+        rows = []
+        for u in range(rng.randint(1, 12)):
+            r = rng.choice((1, 2, 3, 4, 6, 8, 12, 24))
+            res = hidden % r if rng.random() < 0.75 else rng.randrange(r)
+            rows.append(ProgressionRow(u, res or r, r))
+        for m in range(1, len(rows) + 1):
+            got = scan_subsets(rows, m)
+            assert got == brute_force_scan(rows, m)
+            if got:
+                deepest = max(deepest, m)
+            if len(got) < comb(len(rows), m):
+                pruned += 1
+    assert deepest >= 10
+    assert pruned
+
+
+def test_subset_scan_work_is_frozen(monkeypatch):
+    # crt_pair calls and compatible subsets for m = 1..5 on the table rows;
+    # combining every subset from scratch made 7,964 calls in all
+    calls = 0
+    real = crt_module.crt_pair
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return real(a, b)
+
+    monkeypatch.setattr(crt_module, "crt_pair", counting)
+    work, compatible = [], []
+    for m in range(1, 6):
+        calls = 0
+        compatible.append(len(scan_subsets(TABLE_ROWS, m)))
+        work.append(calls)
+    assert tuple(work) == (0, 120, 221, 244, 193)
+    assert tuple(compatible) == (16, 30, 28, 9, 0)
 
 
 def test_scan_subsets_domain():
