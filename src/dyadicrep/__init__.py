@@ -1,26 +1,14 @@
 """Exact toolkit for the Erdos-Graham equation n/2^n = sum of a_i/2^a_i.
 
-Everything is integer arithmetic under the hood: dyadic rationals with a
-canonical odd-numerator form, fixed-point enumeration for a given number
-of terms, the greedy expansion walk, the congruences behind the
-arithmetic-progression solution families, their CRT combinations, and
-chains of expansions certifying representation multiplicity.
+Everything is integer arithmetic under the hood: one scaled integer
+identity that checks every term list exactly, fixed-point enumeration for
+a given number of terms, the greedy expansion walk, the congruences
+behind the arithmetic-progression solution families, their CRT
+combinations, and chains of expansions certifying representation
+multiplicity.
 """
 
-from .arith import (
-    ZERO,
-    DyadicRational,
-    DyadicUnderflowError,
-    Solution,
-    VerificationError,
-    dyadic,
-    dyadic_sum,
-    invert_term,
-    invert_term_all,
-    term_sum,
-    term_value,
-    verify_solution,
-)
+from .arith import Solution, VerificationError, scaled_sum, verify_solution
 from .bounds import (
     ak_bound_cor,
     ak_bound_thm,
@@ -70,13 +58,10 @@ from .crt import (
 from .greedy import (
     DEFAULT_MAX_K,
     FeasibilityError,
-    GreedyState,
     SweepRow,
-    advance,
     greedy_for_n,
     greedy_representation,
     k_zero,
-    start_state,
     sweep,
 )
 from .search import (
@@ -85,23 +70,13 @@ from .search import (
     count_solutions,
     enumerate_solutions,
     run_search,
-    tail_lower,
-    tail_upper,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ZERO",
-    "DyadicRational",
-    "DyadicUnderflowError",
     "Solution",
-    "dyadic",
-    "dyadic_sum",
-    "invert_term",
-    "invert_term_all",
-    "term_sum",
-    "term_value",
+    "scaled_sum",
     "verify_solution",
     "ak_bound_cor",
     "ak_bound_thm",
@@ -143,13 +118,10 @@ __all__ = [
     "scan_subsets",
     "DEFAULT_MAX_K",
     "FeasibilityError",
-    "GreedyState",
     "SweepRow",
-    "advance",
     "greedy_for_n",
     "greedy_representation",
     "k_zero",
-    "start_state",
     "sweep",
     "PRUNE_RULES",
     "SearchResult",
@@ -157,7 +129,5 @@ __all__ = [
     "count_solutions",
     "enumerate_solutions",
     "run_search",
-    "tail_lower",
-    "tail_upper",
     "__version__",
 ]

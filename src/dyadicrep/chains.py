@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import term_sum, term_value
+from .arith import scaled_sum
 from .greedy import DEFAULT_MAX_K, greedy_for_n
 
 __all__ = [
@@ -33,6 +33,13 @@ __all__ = [
 
 class ChainCertificationError(RuntimeError):
     """A chain failed a structural or exactness check."""
+
+
+def _term_list_value(terms: tuple[int, ...]) -> Fraction:
+    """Exact value of sum(a/2**a for a in terms); 0 for an empty list."""
+    if not terms:
+        return Fraction(0)
+    return Fraction(scaled_sum(terms), 1 << terms[-1])
 
 
 def tail_sum(p: int, q: int) -> Fraction:
@@ -66,7 +73,7 @@ class TailedRepresentation:
     q: int
 
     def value(self) -> Fraction:
-        return term_sum(self.prefix).as_fraction() + tail_sum(self.p, self.q)
+        return _term_list_value(self.prefix) + tail_sum(self.p, self.q)
 
     def terms(self, count: int) -> tuple[int, ...]:
         """The prefix plus the first `count` progression terms."""
@@ -75,7 +82,7 @@ class TailedRepresentation:
         )
 
     def partial_value(self, count: int) -> Fraction:
-        return term_sum(self.terms(count)).as_fraction()
+        return _term_list_value(self.terms(count))
 
 
 def three_representations(p: int, q: int) -> list[TailedRepresentation]:
@@ -90,9 +97,9 @@ def three_representations(p: int, q: int) -> list[TailedRepresentation]:
     if p + q < 17:
         raise ValueError("progression must start at p + q >= 17")
     reps = [TailedRepresentation(pref, p, q) for pref in HALF_PREFIXES]
-    half = Fraction(1, 2)
     for rep in reps:
-        if term_sum(rep.prefix).as_fraction() != half:
+        # sum == 1/2 scaled by 2**a_k
+        if scaled_sum(rep.prefix) != 1 << (rep.prefix[-1] - 1):
             raise ChainCertificationError(f"prefix {rep.prefix} does not sum to 1/2")
     return reps
 
@@ -216,7 +223,10 @@ def representation_count_certificate(chain: ChainResult) -> int:
                 raise ChainCertificationError(f"step {i} endpoints mismatch")
             if _digest(step.terms) != step.digest:
                 raise ChainCertificationError(f"step {i} digest mismatch")
-            if term_sum(step.terms) != term_value(step.source):
+            if any(b <= a for a, b in zip(step.terms, step.terms[1:])):
+                raise ChainCertificationError(f"step {i} terms are out of order")
+            # scaled by 2**last_term; the order check keeps every shift >= 0
+            if scaled_sum(step.terms) != step.source << (step.last_term - step.source):
                 raise ChainCertificationError(f"step {i} does not sum to its source")
         expect = step.last_term
     return chain.depth + 1

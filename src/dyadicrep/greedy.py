@@ -24,18 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith import Solution, VerificationError, term_sum, verify_solution
+from .arith import Solution, VerificationError, scaled_sum, verify_solution
 
 __all__ = [
     "DEFAULT_MAX_K",
     "FeasibilityError",
-    "GreedyState",
     "SweepRow",
-    "advance",
     "greedy_for_n",
     "greedy_representation",
     "k_zero",
-    "start_state",
     "sweep",
 ]
 
@@ -76,36 +73,6 @@ def k_zero(x: Fraction) -> int:
     return _k_zero_parts(x.numerator, x.denominator)[0]
 
 
-@dataclass(frozen=True, slots=True)
-class GreedyState:
-    """One point of the walk: the index about to be decided, the scaled
-    remainder x_i, and the indices emitted so far."""
-
-    index: int
-    value: Fraction
-    emitted: tuple[int, ...] = ()
-
-
-def start_state(x: Fraction) -> GreedyState:
-    x = _validate_x(x)
-    i = k_zero(x)
-    return GreedyState(i, x * (1 << (i - 1)), ())
-
-
-def advance(state: GreedyState) -> GreedyState:
-    """One step of the recurrence. Requires a live state (value > 0)."""
-    if state.value <= 0:
-        raise ValueError("cannot advance a terminated state")
-    if state.value >= state.index + 1:
-        raise FeasibilityError(
-            f"x_{state.index} = {state.value} >= {state.index + 1}"
-        )
-    t = 2 * state.value - state.index
-    if t >= 0:
-        return GreedyState(state.index + 1, t, state.emitted + (state.index,))
-    return GreedyState(state.index + 1, 2 * state.value, state.emitted)
-
-
 def _greedy_walk(
     start_index: int,
     num: int,
@@ -120,9 +87,9 @@ def _greedy_walk(
     ever shrinks, hitting 0 after at most its initial value steps, beyond
     which every operation is on plain integers.
 
-    Following the reference recurrence, the term budget is tested before
-    each step (k <= max_k), so a run whose final, remainder-clearing
-    emission is number max_k + 1 still succeeds.
+    The term budget is tested before each step (k <= max_k), so a run
+    whose final, remainder-clearing emission is number max_k + 1 still
+    succeeds.
     """
     i = start_index
     n_loc = num
@@ -179,7 +146,8 @@ def greedy_representation(
     if not terminated:
         return None
     out = tuple(emitted)
-    if check and term_sum(out).as_fraction() != x:
+    # sum(out) == p/q, scaled by 2**a_k and cleared of q
+    if check and scaled_sum(out) * q != p << out[-1]:
         raise VerificationError(
             f"greedy expansion of {x} failed its exactness re-check"
         )

@@ -11,8 +11,7 @@ of m terms starting at a) and R >= (a's own term plus the least possible
 sum of m-1 terms below the global cap). Both windows are sums of runs of
 consecutive terms with a closed form, evaluated at the nodes the search
 visits. The final slot is never scanned: the remainder either is a term
-value or is not, and inverting a/2**a is a constant-time scan (see
-arith.invert_term).
+value or is not, and inverting a/2**a is a short scan (see _close_term).
 
 The first two levels of the tree (n, then the first unforced term) are
 planned sequentially with the same prune rules and become the work queue;
@@ -27,13 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from .arith import (
-    DyadicRational,
-    Solution,
-    VerificationError,
-    dyadic,
-    verify_solution,
-)
+from .arith import Solution, VerificationError, verify_solution
 from .bounds import ak_bound_thm, forced_prefix_len, max_n, product_bound_holds
 
 __all__ = [
@@ -43,8 +36,6 @@ __all__ = [
     "enumerate_solutions",
     "count_solutions",
     "run_search",
-    "tail_lower",
-    "tail_upper",
 ]
 
 PRUNE_RULES = (
@@ -64,27 +55,12 @@ _PROGRESS_EVERY = 256
 
 
 def _run_sum_num(b: int, m: int) -> int:
-    """Numerator of sum((b+i)/2**(b+i) for i in range(m)) over 2**(b-1+m)."""
+    """Numerator of sum((b+i)/2**(b+i) for i in range(m)) over 2**(b-1+m).
+
+    Term values never increase with the index, so the run b..b+m-1 is the
+    largest sum of m distinct terms at or above b, and the top run ending
+    at a cap is the smallest sum of m distinct terms at or below it."""
     return ((1 << m) - 1) * (b - 1) + (1 << (m + 1)) - m - 2
-
-
-def tail_upper(b: int, m: int) -> DyadicRational:
-    """Largest possible sum of m distinct terms with indices >= b: the run
-    b, b+1, ..., b+m-1 (term values never increase with the index)."""
-    if b < 1 or m < 1:
-        raise ValueError("tail_upper needs b >= 1 and m >= 1")
-    return dyadic(_run_sum_num(b, m), b - 1 + m)
-
-
-def tail_lower(m: int, a_max: int) -> DyadicRational:
-    """Smallest possible sum of m distinct terms with indices <= a_max: the
-    top run a_max-m+1, ..., a_max. Requires a_max - m + 1 >= 3 (term values
-    strictly decrease only from index 3 on)."""
-    if m < 1:
-        raise ValueError("tail_lower needs m >= 1")
-    if a_max - m + 1 < 3:
-        raise ValueError("tail_lower needs a_max - m + 1 >= 3")
-    return dyadic(_run_sum_num(a_max - m + 1, m), a_max)
 
 
 @dataclass

@@ -5,108 +5,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadicrep.arith import (
-    ZERO,
-    DyadicRational,
-    DyadicUnderflowError,
     Solution,
     VerificationError,
-    dyadic,
-    dyadic_sum,
-    invert_term,
-    invert_term_all,
-    term_sum,
-    term_value,
+    scaled_sum,
     verify_solution,
 )
-
-dyadics = st.builds(
-    dyadic,
-    st.integers(min_value=0, max_value=1 << 80),
-    st.integers(min_value=0, max_value=90),
-)
-
-
-def test_canonical_form():
-    assert dyadic(4, 2) == dyadic(1, 0)
-    assert dyadic(6, 4) == dyadic(3, 3)
-    assert dyadic(0, 17) is not None and dyadic(0, 17) == ZERO
-    assert dyadic(5, 0).as_fraction() == 5
-    # negative exponent means a left shift
-    assert dyadic(3, -2) == dyadic(12, 0)
-
-
-def test_direct_construction_rejects_non_canonical():
-    with pytest.raises(ValueError):
-        DyadicRational(4, 2)
-    with pytest.raises(ValueError):
-        DyadicRational(0, 1)
-    with pytest.raises(ValueError):
-        DyadicRational(-1, 0)
-
-
-@given(dyadics, dyadics)
-def test_add_matches_fraction(a, b):
-    assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
-
-
-@given(dyadics, dyadics)
-def test_sub_roundtrip(a, b):
-    s = a + b
-    assert s - b == a
-    assert s - a == b
-
-
-@given(dyadics, dyadics)
-def test_order_matches_fraction(a, b):
-    assert (a < b) == (a.as_fraction() < b.as_fraction())
-    assert (a == b) == (a.as_fraction() == b.as_fraction())
-
-
-def test_subtraction_underflow():
-    with pytest.raises(DyadicUnderflowError):
-        dyadic(1, 3) - dyadic(1, 1)
+from dyadicrep.search import _close_term
 
 
 def test_term_value():
-    assert term_value(1) == dyadic(1, 1)
-    assert term_value(2) == dyadic(1, 1)  # 2/4 == 1/2
-    assert term_value(6) == dyadic(3, 5)
+    # a single term a/2**a scaled by 2**a is a itself
+    assert scaled_sum((6,)) == 6
+    # 1/2 + 2/4 == 1, i.e. 4/2**2
+    assert scaled_sum((1, 2)) == 4
+    # 5/32 + 6/64 == 1/4, i.e. 16/2**6
+    assert scaled_sum((5, 6)) == 16
 
+
+# _close_term(R, S) inverts R/2**S to the index a with a/2**a == R/2**S;
+# it is the package's only term-inversion scan.
 
 def test_invert_term_half_is_ambiguous():
-    assert invert_term_all(dyadic(1, 1)) == (1, 2)
-    assert invert_term(dyadic(1, 1)) == 1
+    # 1/2 == 1/2**1 == 2/2**2; the scan reports the smaller index
+    assert _close_term(1, 1) == 1
+    assert _close_term(2, 2) == 1
 
 
 @pytest.mark.parametrize("a", [3, 4, 5, 17, 100, 2**10, 12345])
 def test_invert_unique(a):
-    assert invert_term_all(term_value(a)) == (a,)
+    assert _close_term(a, a) == a
+    # the same value at any finer scale
+    assert _close_term(a << 7, a + 7) == a
 
 
 def test_invert_term_identity_up_to_1e4():
-    for a in range(3, 10**4 + 1):
-        assert invert_term(term_value(a)) == a
+    for a in range(1, 10**4 + 1):
+        assert _close_term(a, a) == (1 if a == 2 else a)
 
 
 def test_invert_non_term_values():
-    assert invert_term_all(dyadic(3, 4)) == ()
-    assert invert_term(dyadic(7, 3)) is None
-    with pytest.raises(ValueError):
-        invert_term_all(ZERO)
+    assert _close_term(3, 4) == 0  # 3/16
+    assert _close_term(7, 3) == 0  # 7/8
 
 
-@given(st.lists(st.integers(min_value=1, max_value=500), max_size=60))
+@given(st.sets(st.integers(min_value=1, max_value=500), min_size=1, max_size=60))
 @settings(deadline=None)
-def test_dyadic_sum_matches_fraction(indices):
-    got = dyadic_sum([term_value(a) for a in indices])
-    assert got.as_fraction() == sum(
-        (Fraction(a, 2**a) for a in indices), Fraction(0)
-    )
-
-
-def test_dyadic_sum_empty():
-    assert dyadic_sum([]) == ZERO
-    assert term_sum(()) == ZERO
+def test_scaled_sum_matches_fraction(indices):
+    terms = tuple(sorted(indices))
+    want = sum((Fraction(a, 2**a) for a in terms), Fraction(0))
+    assert Fraction(scaled_sum(terms), 1 << terms[-1]) == want
 
 
 def test_solution_validation():
@@ -138,12 +85,6 @@ def test_verify_matches_fraction_on_goldens():
             assert len(terms) == k
             assert sum(Fraction(a, 2**a) for a in terms) == Fraction(n, 2**n)
             assert verify_solution(Solution(n, terms))
-
-
-def test_str_forms():
-    assert str(dyadic(3, 5)) == "3/2^5"
-    assert str(dyadic(7, 0)) == "7"
-    assert str(ZERO) == "0"
 
 
 def test_verification_error_is_one_class_everywhere():

@@ -9,6 +9,7 @@ from dyadicrep.chains import (
     HALF_PREFIXES,
     ChainCertificationError,
     ChainResult,
+    TailedRepresentation,
     _digest,
     expand_chain,
     representation_count_certificate,
@@ -64,6 +65,23 @@ def test_three_representations_converge_below_2_pow_200():
         gap = rep.value() - rep.partial_value(80)
         assert gap == tail_sum(3, 14 + 3 * 80)
         assert 0 < gap < Fraction(1, 1 << 200)
+
+
+def test_three_representations_rechecks_each_prefix(monkeypatch):
+    # (3, 6, 9) sums to 3/8 + 6/64 + 9/512, not 1/2
+    monkeypatch.setattr(
+        "dyadicrep.chains.HALF_PREFIXES", HALF_PREFIXES[:2] + ((3, 6, 9),)
+    )
+    with pytest.raises(ChainCertificationError, match="does not sum to 1/2"):
+        three_representations(3, 14)
+
+
+def test_tailed_representation_empty_prefix():
+    # an empty term list sums to 0, so the value is the tail alone
+    rep = TailedRepresentation((), 3, 14)
+    assert rep.value() == tail_sum(3, 14)
+    assert rep.partial_value(0) == 0
+    assert rep.partial_value(2) == Fraction(17, 2**17) + Fraction(20, 2**20)
 
 
 def test_three_representations_domain():
@@ -139,6 +157,18 @@ def _tampered(chain, i, **changes):
     return ChainResult(chain.start, steps, chain.exhausted)
 
 
+def _with_terms(chain, i, terms):
+    """Step i carrying `terms`, with its last term and digest made to match."""
+    joined = ",".join(map(str, terms)).encode()
+    return _tampered(
+        chain,
+        i,
+        terms=terms,
+        last_term=terms[-1],
+        digest=hashlib.sha256(joined).hexdigest(),
+    )
+
+
 def test_certificate_rejects_tampering():
     chain = expand_chain(8, 3)
 
@@ -167,17 +197,14 @@ def test_certificate_rejects_tampering():
 
     # a consistent-looking last step whose terms do not sum to the source
     bad_terms = chain.steps[2].terms[:-1] + (chain.steps[2].terms[-1] + 1,)
-    joined = ",".join(map(str, bad_terms)).encode()
     with pytest.raises(ChainCertificationError, match="sum to its source"):
-        representation_count_certificate(
-            _tampered(
-                chain,
-                2,
-                terms=bad_terms,
-                last_term=bad_terms[-1],
-                digest=hashlib.sha256(joined).hexdigest(),
-            )
-        )
+        representation_count_certificate(_with_terms(chain, 2, bad_terms))
+
+    # the same terms, two middle ones swapped: same sum, endpoints and count
+    terms = list(chain.steps[2].terms)
+    terms[5], terms[6] = terms[6], terms[5]
+    with pytest.raises(ChainCertificationError, match="out of order"):
+        representation_count_certificate(_with_terms(chain, 2, tuple(terms)))
 
 
 @pytest.mark.extended

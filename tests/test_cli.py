@@ -6,11 +6,12 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dyadicrep
@@ -20,7 +21,7 @@ from dyadicrep.congruence import (
     ProgressionRow,
     UnsupportedModulusError,
 )
-from dyadicrep.greedy import SweepRow, greedy_for_n
+from dyadicrep.greedy import SweepRow, _greedy_walk, greedy_for_n
 from dyadicrep.search import PRUNE_RULES
 from known_solutions import (
     COMBINED_MODULUS,
@@ -371,6 +372,18 @@ def test_failed_greedy_recheck_exits_4(capsys, monkeypatch, argv):
     assert "verification failure" in err and "re-check" in err
 
 
+def test_failed_greedy_x_recheck_exits_4(capsys, monkeypatch):
+    def drop_last_term(*args):
+        emitted, terminated = _greedy_walk(*args)
+        return emitted[:-1], terminated
+
+    monkeypatch.setattr("dyadicrep.greedy._greedy_walk", drop_last_term)
+    code, out, err = run_cli(capsys, "greedy", "--x", "3/8")
+    assert code == 4
+    assert out == ""
+    assert "verification failure" in err and "re-check" in err
+
+
 @pytest.mark.parametrize("exc", [ZeroDivisionError, OverflowError])
 def test_arithmetic_bug_is_not_a_verification_failure(capsys, monkeypatch, exc):
     def boom(*args, **kwargs):
@@ -383,21 +396,21 @@ def test_arithmetic_bug_is_not_a_verification_failure(capsys, monkeypatch, exc):
 
 
 def run_cli_quiet(*argv):
-    """Exit code of an in-process run, argparse's SystemExit included, with
-    stdout and stderr captured; a traceback propagates as a test failure."""
+    """(exit code, stdout, stderr) of an in-process run, argparse's
+    SystemExit included; a traceback propagates as a test failure."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(list(argv))
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=60, deadline=None)
 @given(size=st.integers())
 def test_fuzz_multiplicity_subset_size(size):
-    code, err = run_cli_quiet("multiplicity", "--subset-size", str(size))
+    code, _, err = run_cli_quiet("multiplicity", "--subset-size", str(size))
     assert code == (0 if 1 <= size <= len(TABLE_ROWS) else 2)
     assert "Traceback" not in err
 
@@ -405,9 +418,38 @@ def test_fuzz_multiplicity_subset_size(size):
 @settings(max_examples=40, deadline=None)
 @given(u_max=st.integers(min_value=-10**6, max_value=60))
 def test_fuzz_table1_u_max(u_max):
-    code, err = run_cli_quiet("table1", "--u-max", str(u_max), "--format", "csv")
+    code, _, err = run_cli_quiet("table1", "--u-max", str(u_max), "--format", "csv")
     assert code == (0 if u_max >= 0 else 2)
     assert "Traceback" not in err
+
+
+# P/Q strings: any signs and denominators (zero included), values past 2,
+# and dyadic values p/2**e, which include the term values j/2**j.
+_any_ratio = st.builds(
+    "{}/{}".format, st.integers(-2 * 10**6, 4 * 10**6), st.integers(-50, 10**6)
+)
+_dyadic_ratio = st.builds(
+    lambda p, e: f"{p}/{1 << e}",
+    st.integers(-8, 1 << 41),
+    st.integers(0, 40),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(x=st.one_of(_any_ratio, _dyadic_ratio), max_k=st.integers(1, 2000))
+@example(x="1/0", max_k=5)
+@example(x="-3/8", max_k=5)
+@example(x="0/7", max_k=5)
+@example(x="2/1", max_k=5)
+@example(x="3/8", max_k=1)
+@example(x="5/32", max_k=2000)
+def test_fuzz_greedy_x(x, max_k):
+    code, out, err = run_cli_quiet("greedy", "--x", x, "--max-k", str(max_k))
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code == 0:
+        terms = json.loads(out)["terms"]
+        assert sum(Fraction(a, 2**a) for a in terms) == Fraction(x)
 
 
 # --- installed entry point ----------------------------------------------------
@@ -446,6 +488,28 @@ def write_console_script(directory, name, target):
         f"    sys.exit({ep.attr}())\n"
     )
     launcher.chmod(0o755)
+
+
+def test_library_imports_only_the_standard_library():
+    # -S keeps site's .pth hooks from loading third-party helpers before
+    # the check starts, so every module listed is one the package pulled in;
+    # __mp_main__ is multiprocessing's alias of __main__
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "import dyadicrep\n"
+        "for info in pkgutil.iter_modules(dyadicrep.__path__):\n"
+        "    importlib.import_module('dyadicrep.' + info.name)\n"
+        "allowed = set(sys.stdlib_module_names) | {'__main__', '__mp_main__', 'dyadicrep'}\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} - allowed))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_console_script_entry_point():

@@ -9,11 +9,10 @@ from dyadicrep.congruence import congruence_holds, family_solution
 from dyadicrep.search import (
     PRUNE_RULES,
     _close_term,
+    _run_sum_num,
     count_solutions,
     enumerate_solutions,
     run_search,
-    tail_lower,
-    tail_upper,
 )
 from known_solutions import SMALL_K
 
@@ -84,40 +83,34 @@ def _frac_run(b: int, m: int) -> Fraction:
     return sum(Fraction(i, 2**i) for i in range(b, b + m))
 
 
+def _run(b: int, m: int) -> Fraction:
+    """The run b..b+m-1 from its closed-form numerator."""
+    return Fraction(_run_sum_num(b, m), 1 << (b - 1 + m))
+
+
 def test_tail_upper_matches_direct_sum():
     for b in range(1, 40):
         for m in range(1, 9):
-            assert tail_upper(b, m).as_fraction() == _frac_run(b, m)
+            assert _run(b, m) == _frac_run(b, m)
 
 
 def test_tail_lower_matches_direct_sum():
+    # the top run ending at a_max, as the search scales it: over 2**a_max
     for a_max in range(3, 40):
         for m in range(1, a_max - 1):
-            assert tail_lower(m, a_max).as_fraction() == _frac_run(
-                a_max - m + 1, m
-            )
-
-
-def test_tail_bound_domains():
-    with pytest.raises(ValueError):
-        tail_upper(0, 3)
-    with pytest.raises(ValueError):
-        tail_upper(5, 0)
-    with pytest.raises(ValueError):
-        tail_lower(0, 10)
-    with pytest.raises(ValueError):
-        tail_lower(9, 10)  # bottom of the run would sit below index 3
+            low = Fraction(_run_sum_num(a_max - m + 1, m), 1 << a_max)
+            assert low == _frac_run(a_max - m + 1, m)
 
 
 def test_tail_upper_is_maximal_over_samples():
     # no choice of m distinct indices >= b beats the leading run
-    tu = tail_upper(7, 3).as_fraction()
+    tu = _run(7, 3)
     for combo in combinations(range(7, 20), 3):
         assert sum(Fraction(i, 2**i) for i in combo) <= tu
 
 
 def test_tail_lower_is_minimal_over_samples():
-    tl = tail_lower(3, 16).as_fraction()
+    tl = _run(14, 3)
     for combo in combinations(range(3, 17), 3):
         assert sum(Fraction(i, 2**i) for i in combo) >= tl
 
