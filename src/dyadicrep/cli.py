@@ -3,6 +3,9 @@
 Commands print their payload to stdout (JSON or CSV, selected by
 --format) and everything else to stderr: timing, progress, warnings.
 Payloads are byte-deterministic for fixed inputs, whatever --jobs says.
+Each command builds its JSON payload once; the CSV form is one line per
+record of its "rows" with one rule for every cell: a list is space-joined,
+a bool is true/false, None is an empty cell.
 
 Exit codes: 0 success; 2 usage or validation error; 3 a term budget ran
 out or a parameter is outside the supported range; 4 a self-check failed
@@ -61,28 +64,36 @@ _VERIFY_ERRORS = (
 )
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _cell(value: object) -> object:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return "" if value is None else value
 
 
-def _emit_csv(header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _emit(
+    args: argparse.Namespace,
+    payload: dict,
+    columns: Sequence[tuple[str, str]],
+    rows: Optional[Sequence[dict]] = None,
+) -> None:
+    """Print payload as JSON, or as CSV with one line per record of rows
+    (default: payload["rows"]) and one cell per (header, key) column."""
+    if args.format == "json":
+        print(json.dumps(payload, indent=2))
+        return
     w = csv.writer(sys.stdout, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
+    w.writerow([header for header, _ in columns])
+    for rec in payload["rows"] if rows is None else rows:
+        w.writerow([_cell(rec[key]) for _, key in columns])
 
 
 def _note(msg: str) -> None:
     print(f"# {msg}", file=sys.stderr, flush=True)
 
 
-def _fmt(args: argparse.Namespace) -> str:
-    return args.format or args.default_format
-
-
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.k < 2:
-        raise ValueError("k must be at least 2")
-
     def progress(done: int, total: int, found: int) -> None:
         _note(f"enumerate k={args.k}: {done}/{total} tasks, {found} found")
 
@@ -90,33 +101,22 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     for sol in result.solutions:
         if not verify_solution(sol):
             raise VerificationError(f"about to emit a non-solution: {sol}")
-    if _fmt(args) == "csv":
-        _emit_csv(
-            ("n", "a"),
-            [(s.n, " ".join(map(str, s.terms))) for s in result.solutions],
-        )
-    else:
-        _emit_json(
-            {
-                "command": "enumerate",
-                "parameters": {"k": args.k, "jobs": args.jobs},
-                "count": len(result.solutions),
-                "rows": [
-                    {"n": s.n, "a": list(s.terms)} for s in result.solutions
-                ],
-                "tasks": result.tasks,
-                "nodes": result.nodes,
-                "prune_counters": result.prune_counters,
-            }
-        )
+    payload = {
+        "command": "enumerate",
+        "parameters": {"k": args.k, "jobs": args.jobs},
+        "count": len(result.solutions),
+        "rows": [{"n": s.n, "a": list(s.terms)} for s in result.solutions],
+        "tasks": result.tasks,
+        "nodes": result.nodes,
+        "prune_counters": result.prune_counters,
+    }
+    _emit(args, payload, [("n", "n"), ("a", "a")])
     return EXIT_OK
 
 
 def _cmd_greedy(args: argparse.Namespace) -> int:
     if (args.n is None) == (args.x is None):
         raise ValueError("give exactly one of --n or --x")
-    if args.max_k < 1:
-        raise ValueError("--max-k must be positive")
     parameters: dict = {"max_k": args.max_k}
     if args.n is not None:
         parameters["n"] = args.n
@@ -130,24 +130,16 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
         parameters["x"] = str(x)
         terms = greedy_representation(x, args.max_k)
     terminated = terms is not None
-    if _fmt(args) == "csv":
-        row = (
-            (len(terms), "true", " ".join(map(str, terms)))
-            if terminated
-            else ("", "false", "")
-        )
-        _emit_csv(("k", "terminated", "terms"), [row])
-    else:
-        _emit_json(
-            {
-                "command": "greedy",
-                "parameters": parameters,
-                "status": "ok" if terminated else "budget exhausted",
-                "terminated": terminated,
-                "k": len(terms) if terminated else None,
-                "terms": list(terms) if terminated else None,
-            }
-        )
+    payload = {
+        "command": "greedy",
+        "parameters": parameters,
+        "status": "ok" if terminated else "budget exhausted",
+        "terminated": terminated,
+        "k": len(terms) if terminated else None,
+        "terms": list(terms) if terminated else None,
+    }
+    columns = [("k", "k"), ("terminated", "terminated"), ("terms", "terms")]
+    _emit(args, payload, columns, rows=[payload])
     if not terminated:
         _note(f"budget of {args.max_k} terms exhausted before the remainder hit 0")
         return EXIT_BUDGET
@@ -155,14 +147,6 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.n_min < 2:
-        raise ValueError("n_min must be at least 2")
-    if args.n_max < args.n_min:
-        raise ValueError("n_max must be at least n_min")
-    if args.max_k < 1:
-        raise ValueError("--max-k must be positive")
-    if args.jobs < 1:
-        raise ValueError("--jobs must be positive")
     rows = sweep(args.n_min, args.n_max, args.max_k, jobs=args.jobs)
     violations = [
         r
@@ -170,50 +154,29 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if r.terminated and not r.k + r.n <= r.last_term <= 2 * (r.k + r.n)
     ]
     exhausted = [r for r in rows if not r.terminated]
-    if _fmt(args) == "csv":
-        out = []
-        for r in rows:
-            rec = [r.n, r.k, r.last_term, "true" if r.terminated else "false"]
-            if args.figures:
-                if r.terminated:
-                    rec += [
-                        repr(r.last_term / (2 * (r.k + r.n))),
-                        repr(r.k / r.n),
-                    ]
-                else:
-                    rec += ["", ""]
-            out.append(rec)
-        header = ["n", "k", "a_k", "terminated"]
+    keys = ["n", "k", "a_k", "terminated"]
+    if args.figures:
+        keys += ["ak_ratio", "k_ratio"]
+    recs = []
+    for r in rows:
+        rec = {"n": r.n, "k": r.k, "a_k": r.last_term, "terminated": r.terminated}
         if args.figures:
-            header += ["ak_ratio", "k_ratio"]
-        _emit_csv(header, out)
-    else:
-        recs = []
-        for r in rows:
-            rec = {
-                "n": r.n,
-                "k": r.k,
-                "a_k": r.last_term,
-                "terminated": r.terminated,
-            }
-            if args.figures:
-                rec["ak_ratio"] = (
-                    r.last_term / (2 * (r.k + r.n)) if r.terminated else None
-                )
-                rec["k_ratio"] = r.k / r.n if r.terminated else None
-            recs.append(rec)
-        _emit_json(
-            {
-                "command": "sweep",
-                "parameters": {
-                    "n_min": args.n_min,
-                    "n_max": args.n_max,
-                    "max_k": args.max_k,
-                    "jobs": args.jobs,
-                },
-                "rows": recs,
-            }
-        )
+            rec["ak_ratio"] = (
+                r.last_term / (2 * (r.k + r.n)) if r.terminated else None
+            )
+            rec["k_ratio"] = r.k / r.n if r.terminated else None
+        recs.append(rec)
+    payload = {
+        "command": "sweep",
+        "parameters": {
+            "n_min": args.n_min,
+            "n_max": args.n_max,
+            "max_k": args.max_k,
+            "jobs": args.jobs,
+        },
+        "rows": recs,
+    }
+    _emit(args, payload, [(key, key) for key in keys])
     for r in violations:
         _note(f"window violation: n={r.n} k={r.k} a_k={r.last_term}")
     if violations:
@@ -227,7 +190,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_table1(args: argparse.Namespace) -> int:
     if args.u_max < 0:
         raise ValueError("--u-max must be non-negative")
-    rows = []
+    recs = []
     skipped = []
     for u in range(args.u_max + 1):
         if family_modulus(u) < PROVEN_PRIME_LIMIT:
@@ -243,20 +206,13 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             check_row(row)
         except ValueError as exc:
             raise VerificationError(str(exc)) from exc
-        rows.append((row.u, row.k0, row.r, status))
-    if _fmt(args) == "csv":
-        _emit_csv(("u", "k0", "r", "status"), rows)
-    else:
-        _emit_json(
-            {
-                "command": "table1",
-                "parameters": {"u_max": args.u_max},
-                "rows": [
-                    {"u": u, "k0": k0, "r": r, "status": status}
-                    for u, k0, r, status in rows
-                ],
-            }
-        )
+        recs.append({"u": row.u, "k0": row.k0, "r": row.r, "status": status})
+    payload = {
+        "command": "table1",
+        "parameters": {"u_max": args.u_max},
+        "rows": recs,
+    }
+    _emit(args, payload, [(key, key) for key in ("u", "k0", "r", "status")])
     if skipped:
         _note(
             f"{len(skipped)} values of u ({skipped[0]}..{skipped[-1]}) are past "
@@ -267,11 +223,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_multiplicity(args: argparse.Namespace) -> int:
-    if not 1 <= args.subset_size <= len(TABLE_ROWS):
-        raise ValueError(f"--subset-size must be in 1..{len(TABLE_ROWS)}")
-    found = scan_subsets(TABLE_ROWS, args.subset_size)
     recs = []
-    for us, cls in found:
+    for us, cls in scan_subsets(TABLE_ROWS, args.subset_size):
         cert = certify_multiplicity(cls, [table_row(u) for u in us])
         recs.append(
             {
@@ -282,73 +235,45 @@ def _cmd_multiplicity(args: argparse.Namespace) -> int:
                 "certificate": cert,
             }
         )
-    if _fmt(args) == "csv":
-        _emit_csv(
-            ("us", "residue", "modulus", "k", "certificate"),
-            [
-                (
-                    " ".join(map(str, r["us"])),
-                    r["residue"],
-                    r["modulus"],
-                    r["k"],
-                    r["certificate"],
-                )
-                for r in recs
-            ],
-        )
-    else:
-        _emit_json(
-            {
-                "command": "multiplicity",
-                "parameters": {"subset_size": args.subset_size},
-                "count": len(recs),
-                "rows": recs,
-            }
-        )
+    payload = {
+        "command": "multiplicity",
+        "parameters": {"subset_size": args.subset_size},
+        "count": len(recs),
+        "rows": recs,
+    }
+    keys = ("us", "residue", "modulus", "k", "certificate")
+    _emit(args, payload, [(key, key) for key in keys])
     return EXIT_OK
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
-    if args.depth < 1:
-        raise ValueError("depth must be at least 1")
-    if args.max_k < 1:
-        raise ValueError("--max-k must be positive")
     chain = expand_chain(args.a_start, args.depth, args.max_k)
-    certificate = (
-        representation_count_certificate(chain) if chain.steps else None
-    )
-    if _fmt(args) == "csv":
-        _emit_csv(
-            ("i", "k_i", "last_term"),
-            [(s.index, s.k, s.last_term) for s in chain.steps],
-        )
-    else:
-        recs = []
-        for s in chain.steps:
-            rec = {
-                "i": s.index,
-                "source": s.source,
-                "k": s.k,
-                "first_term": s.first_term,
-                "last_term": s.last_term,
-                "digest": s.digest,
-            }
-            if s.terms is not None:
-                rec["terms"] = list(s.terms)
-            recs.append(rec)
-        _emit_json(
-            {
-                "command": "chain",
-                "parameters": {
-                    "a_start": args.a_start,
-                    "depth": args.depth,
-                    "max_k": args.max_k,
-                },
-                "exhausted": chain.exhausted,
-                "certificate": certificate,
-                "rows": recs,
-            }
-        )
+    certificate = representation_count_certificate(chain) if chain.steps else None
+    recs = []
+    for s in chain.steps:
+        rec = {
+            "i": s.index,
+            "source": s.source,
+            "k": s.k,
+            "first_term": s.first_term,
+            "last_term": s.last_term,
+            "digest": s.digest,
+        }
+        if s.terms is not None:
+            rec["terms"] = list(s.terms)
+        recs.append(rec)
+    payload = {
+        "command": "chain",
+        "parameters": {
+            "a_start": args.a_start,
+            "depth": args.depth,
+            "max_k": args.max_k,
+        },
+        "exhausted": chain.exhausted,
+        "certificate": certificate,
+        "rows": recs,
+    }
+    _emit(args, payload, [("i", "i"), ("k_i", "k"), ("last_term", "last_term")])
     if chain.exhausted:
         _note(
             f"budget of {args.max_k} terms exhausted at step "
@@ -362,10 +287,9 @@ def _add_format(p: argparse.ArgumentParser, default: str) -> None:
     p.add_argument(
         "--format",
         choices=("json", "csv"),
-        default=None,
+        default=default,
         help=f"payload format (default: {default})",
     )
-    p.set_defaults(default_format=default)
 
 
 def build_parser() -> argparse.ArgumentParser:

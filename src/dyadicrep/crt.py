@@ -102,7 +102,7 @@ def scan_subsets(
     leaves appear in exactly the order itertools.combinations lists them.
     """
     if not 1 <= m <= len(rows):
-        raise ValueError("subset size out of range")
+        raise ValueError(f"subset size must be in 1..{len(rows)}")
     classes = [_row_class(row) for row in rows]
     out = []
 

@@ -18,7 +18,6 @@ no fraction arithmetic happens in the loop either way.
 
 from __future__ import annotations
 
-import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,8 +34,6 @@ __all__ = [
     "k_zero",
     "sweep",
 ]
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_K = 1 << 20
 
@@ -160,8 +157,8 @@ def greedy_for_n(
     """Greedy expansion of n/2**n for n >= 2, as (k, Solution).
 
     For these inputs the walk starts at index n+1 with integer remainder n,
-    so the whole run is machine-integer arithmetic. The first emitted term
-    is checked to be n+1; a violation is logged, not raised.
+    so the whole run is machine-integer arithmetic, and its first step
+    always emits n+1 (2n - (n+1) = n - 1 >= 0).
     """
     if n < 2:
         raise ValueError("greedy_for_n needs n >= 2")
@@ -170,10 +167,6 @@ def greedy_for_n(
     emitted, terminated = _greedy_walk(n + 1, n, 0, 1, max_k, check)
     if not terminated:
         return None
-    if emitted[0] != n + 1:
-        logger.warning(
-            "greedy expansion of %d/2^%d starts at %d, not n+1", n, n, emitted[0]
-        )
     sol = Solution(n, tuple(emitted))
     if check and not verify_solution(sol):
         raise VerificationError(
@@ -226,6 +219,8 @@ def sweep(
         raise ValueError("sweep starts at n >= 2")
     if n_max < n_min:
         raise ValueError("empty sweep range")
+    if max_k < 1:
+        raise ValueError("max_k must be positive")
     if jobs < 1:
         raise ValueError("jobs must be positive")
     total = n_max - n_min + 1

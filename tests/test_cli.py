@@ -423,6 +423,47 @@ def test_fuzz_table1_u_max(u_max):
     assert "Traceback" not in err
 
 
+
+# The checks below live only in the library (run_search, sweep, expand_chain,
+# greedy_for_n); the CLI maps their ValueError to exit 2. Inputs stay small
+# so that no example runs long, and only the fixed --jobs 2 one starts a pool.
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(max_value=6), jobs=st.integers(-3, 1))
+@example(k=6, jobs=2)
+def test_fuzz_enumerate(k, jobs):
+    code, _, err = run_cli_quiet("enumerate", str(k), "--jobs", str(jobs))
+    assert code == (0 if k >= 2 and jobs >= 1 else 2)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_min=st.integers(-5, 300),
+    width=st.integers(-5, 19),
+    max_k=st.integers(-3, 64),
+    jobs=st.integers(-3, 1),
+)
+def test_fuzz_sweep(n_min, width, max_k, jobs):
+    argv = f"sweep {n_min} {n_min + width} --max-k {max_k} --jobs {jobs}"
+    code, _, err = run_cli_quiet(*argv.split())
+    valid = n_min >= 2 and width >= 0 and max_k >= 1 and jobs >= 1
+    assert code in ((0, 3) if valid else (2,))
+    assert "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a_start=st.integers(-3, 64),
+    depth=st.integers(-3, 3),
+    max_k=st.integers(-3, 64),
+)
+def test_fuzz_chain(a_start, depth, max_k):
+    argv = f"chain {a_start} {depth} --max-k {max_k}"
+    code, _, err = run_cli_quiet(*argv.split())
+    valid = a_start >= 3 and depth >= 1 and max_k >= 1
+    assert code in ((0, 3) if valid else (2,))
+    assert "Traceback" not in err
+
 # P/Q strings: any signs and denominators (zero included), values past 2,
 # and dyadic values p/2**e, which include the term values j/2**j.
 _any_ratio = st.builds(
@@ -450,6 +491,58 @@ def test_fuzz_greedy_x(x, max_k):
     if code == 0:
         terms = json.loads(out)["terms"]
         assert sum(Fraction(a, 2**a) for a in terms) == Fraction(x)
+
+
+# --- payload bytes -------------------------------------------------------------
+
+# (exit code, sha256 of stdout) of each command in both formats, budget
+# exhaustion included; any change to a payload's bytes shows up here
+GOLDEN_PAYLOADS = {
+    "enumerate 2 --jobs 1 --format json": (0, "45c91128b3b2b2fb456663d238edf9135452ddf35f6d6b51ada5ef56c5ab204f"),
+    "enumerate 2 --jobs 1 --format csv": (0, "bed3435711042579d3e9b5ae3ff02e9413ade1afcaba6430713406307e7b92bf"),
+    "enumerate 3 --jobs 1 --format json": (0, "82be6e3d3efa3bc76bada28f1b0c373c4ebef7d73caa5ff680b12209b093720f"),
+    "enumerate 3 --jobs 1 --format csv": (0, "4d558cdbcccfc77f50c509a5b2ad4a9d59e3d42e3a6bb5f9c5f82fc76f6cd466"),
+    "enumerate 4 --jobs 1 --format json": (0, "c84947cb8a46682c762ab8183861d94ddaadf3d2ca4c95913133e0382c664aab"),
+    "enumerate 4 --jobs 1 --format csv": (0, "0c0442dde0bb3fa1045b9233f09c56eb311af1e09c782fca0e3a02c3db6e30c4"),
+    "enumerate 5 --jobs 1 --format json": (0, "94fb0cbec8b83485dcc46df9df960e41b705aab29870688c6520eb7bb81a11b7"),
+    "enumerate 5 --jobs 1 --format csv": (0, "97da2a07d216754e857ea3f2e7f9f3108e8746c68ab715a5645674762234bb87"),
+    "enumerate 6 --jobs 1 --format json": (0, "85ab179bbddb60aefdc5787117f161f67a4db79e79a49c769b64ce178a5ef461"),
+    "enumerate 6 --jobs 1 --format csv": (0, "a5f67445f417b4bb0469641fcb2b796ff17a238bcd282032cdd0603985a6a75d"),
+    "enumerate 7 --jobs 1 --format json": (0, "789e888d3463c9ef9ff68235b1a8d0504b25d2954c7624538bda3071c4b1534f"),
+    "enumerate 7 --jobs 1 --format csv": (0, "b166ac5414ac58bc4115c397a88b4b318863646bb0b2be6e9450146761d447cf"),
+    "enumerate 8 --jobs 1 --format json": (0, "59d51405f33ea8ba38c3d23773c019945c037671eeae80f69e6180c4babe5d09"),
+    "enumerate 8 --jobs 1 --format csv": (0, "416899a10d0bc3986950b1532ebb7e6b96f6b480819264a53b9f3646ad32c142"),
+    "greedy --n 41 --format json": (0, "010ef4e8a0e61a2a4bcb1325e7ca48eeb5ec905c5c6dde2f5aa1c4df18f3ddbe"),
+    "greedy --n 41 --format csv": (0, "def096b8fd9c6ee01a42f289a972e6aa925912b53e42434642cdb7952a8c30cf"),
+    "greedy --n 41 --max-k 12 --format json": (3, "48fe979e533b9cf0f0386e8afa7e17718088827bb8b9c3a1682916cd41ffcd0f"),
+    "greedy --n 41 --max-k 12 --format csv": (3, "d3830bdc845dfc41725ff4e821f26207b9266ab9585f9ea61ceeb5623166c671"),
+    "greedy --x 1/32 --format json": (0, "0ed24aff7f6cb097a35d59d60a6c8a3aeb9f1bca76cab9660898c6bf3e85d9d9"),
+    "greedy --x 1/32 --format csv": (0, "e404efd362ec0e8f845ccf3909341b0674517bd717a2c94032d1f676a74f0b5a"),
+    "sweep 2 300 --jobs 1 --format json": (0, "c628fe7b190b81b73ac03f4cd26b85ae34b908924bc4c01b4a081fb945152baf"),
+    "sweep 2 300 --jobs 1 --format csv": (0, "95f74c91ca0284259065ecd18429b30355f88b115ea7c16321e74fa25b978c5d"),
+    "sweep 41 45 --max-k 5 --figures --jobs 1 --format json": (3, "b361f16269b01ac6ad7eda8639a6fbf86b8fca82cbc4feee5c275b979494d7b5"),
+    "sweep 41 45 --max-k 5 --figures --jobs 1 --format csv": (3, "62b67791f690f30c9c809989d47f8415b40a0c271fb58cdc3560394c99d61b4d"),
+    "table1 --u-max 119 --format json": (0, "afaad2b18b62f7266ffa2b2aff2449d257358b7a75342adf31c99fab0f46e8b4"),
+    "table1 --u-max 119 --format csv": (0, "7010721a81aa2918ec4da5e148daf928372e5b366c35b8a160569ef821eda222"),
+    "multiplicity --subset-size 1 --format json": (0, "709f2c92a1408e3c376d4d86f0bca414a8bc7cea43c4daafcfff6238e6604898"),
+    "multiplicity --subset-size 1 --format csv": (0, "2fb8ee2d643c46707f506f8dccc7b0389e1d2d8978b8192c58eb3368946134b3"),
+    "multiplicity --subset-size 2 --format json": (0, "6e96455124081d50bc7f7295fbe713b68d945d13f0102147f804e9f27c36cf04"),
+    "multiplicity --subset-size 2 --format csv": (0, "5692298287cda956d6c2f19bc90c5cb697c655db1d69b71b153595511468d32f"),
+    "multiplicity --subset-size 3 --format json": (0, "67a8dcad6c131f7a33e59af65a326bbb7f297076d8b694eec203273de5508ad0"),
+    "multiplicity --subset-size 3 --format csv": (0, "74502326a2a1e570403348b1ede70587c06b2ba02fa4d65321a0c231395ee942"),
+    "multiplicity --subset-size 4 --format json": (0, "783c47d3119abcc55985f81ed824d8649cf13b6fc94df4fc54773dc076367937"),
+    "multiplicity --subset-size 4 --format csv": (0, "bff3906af2af207cc2a9dd71b5b67b5d33cedc262c255f3095bd2de46246a922"),
+    "multiplicity --subset-size 5 --format json": (0, "4d9eafc9469f1453a64ab14ac0683480191b779da781f3089afce81a1ea59d06"),
+    "multiplicity --subset-size 5 --format csv": (0, "ac98d356aa974b44ee65f643ee9bcad5718041d49b7c3b192d4df4d6174b2f61"),
+    "chain 8 5 --format json": (0, "4b2909cdd7657c27b58aeb78283c3b30e42ad5c3b0b74c4b95edf9568f7fb133"),
+    "chain 8 5 --format csv": (0, "ee33be46d3e64cda22f466d29b7382ee1890f40ebe93d1a2a2aef066b7ddd30a"),
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_PAYLOADS))
+def test_payload_bytes_are_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_PAYLOADS[command]
 
 
 # --- installed entry point ----------------------------------------------------

@@ -159,9 +159,11 @@ def test_subset_scan_work_is_frozen(monkeypatch):
 
 
 def test_scan_subsets_domain():
-    with pytest.raises(ValueError):
+    # the message names the valid range, which the CLI reports as is
+    valid = rf"subset size must be in 1\.\.{len(TABLE_ROWS)}$"
+    with pytest.raises(ValueError, match=valid):
         scan_subsets(TABLE_ROWS, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=valid):
         scan_subsets(TABLE_ROWS, len(TABLE_ROWS) + 1)
 
 

@@ -101,6 +101,7 @@ def test_greedy_for_n_terminates_and_is_exact(n):
     assert got is not None
     k, sol = got
     assert k >= 2
+    assert sol.terms[0] == n + 1
     assert verify_solution(sol)
 
 
@@ -117,6 +118,8 @@ def test_domain_errors():
         sweep(5, 4)
     with pytest.raises(ValueError):
         sweep(2, 5, jobs=0)
+    with pytest.raises(ValueError, match="max_k must be positive"):
+        sweep(2, 10, 0)
 
 
 def test_advance_guards():
