@@ -1,10 +1,10 @@
 """Exact toolkit for the Erdos-Graham equation n/2^n = sum of a_i/2^a_i.
 
 Everything is integer arithmetic under the hood: one scaled integer
-identity that checks every term list exactly, fixed-point enumeration for
-a given number of terms, the greedy expansion walk, the congruences
-behind the arithmetic-progression solution families, their CRT
-combinations, and chains of expansions certifying representation
+identity that checks every term list exactly, enumeration over gap
+patterns for a given number of terms, the greedy expansion walk, the
+congruences behind the arithmetic-progression solution families, their
+CRT combinations, and chains of expansions certifying representation
 multiplicity.
 """
 
@@ -13,7 +13,6 @@ from .bounds import (
     ak_bound_cor,
     ak_bound_thm,
     corollary_bound_holds,
-    forced_prefix_len,
     max_n,
     product_bound_holds,
     trivial_solution,
@@ -81,7 +80,6 @@ __all__ = [
     "ak_bound_cor",
     "ak_bound_thm",
     "corollary_bound_holds",
-    "forced_prefix_len",
     "max_n",
     "product_bound_holds",
     "trivial_solution",

@@ -16,7 +16,6 @@ __all__ = [
     "ak_bound_cor",
     "ak_bound_thm",
     "corollary_bound_holds",
-    "forced_prefix_len",
     "max_n",
     "product_bound_holds",
     "trivial_solution",
@@ -34,21 +33,6 @@ def trivial_solution(k: int) -> Solution:
     """The extremal solution at n = max_n(k): terms n+1, ..., n+k."""
     n = max_n(k)
     return Solution(n, tuple(range(n + 1, n + k + 1)))
-
-
-def forced_prefix_len(n: int, k: int) -> int:
-    """Largest j <= k-1 with n >= 2**(j+1) - j, or 0 when n < 3.
-
-    Any k-term solution for such n must start a_i = n+i for all i <= j.
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    j = 0
-    while j < k - 1 and n >= (1 << (j + 2)) - (j + 1):
-        j += 1
-    return j
 
 
 def _ceil_2k_log2_k(k: int) -> int:

@@ -10,7 +10,6 @@ from dyadicrep.arith import (
     scaled_sum,
     verify_solution,
 )
-from dyadicrep.search import _close_term
 
 
 def test_term_value():
@@ -20,32 +19,6 @@ def test_term_value():
     assert scaled_sum((1, 2)) == 4
     # 5/32 + 6/64 == 1/4, i.e. 16/2**6
     assert scaled_sum((5, 6)) == 16
-
-
-# _close_term(R, S) inverts R/2**S to the index a with a/2**a == R/2**S;
-# it is the package's only term-inversion scan.
-
-def test_invert_term_half_is_ambiguous():
-    # 1/2 == 1/2**1 == 2/2**2; the scan reports the smaller index
-    assert _close_term(1, 1) == 1
-    assert _close_term(2, 2) == 1
-
-
-@pytest.mark.parametrize("a", [3, 4, 5, 17, 100, 2**10, 12345])
-def test_invert_unique(a):
-    assert _close_term(a, a) == a
-    # the same value at any finer scale
-    assert _close_term(a << 7, a + 7) == a
-
-
-def test_invert_term_identity_up_to_1e4():
-    for a in range(1, 10**4 + 1):
-        assert _close_term(a, a) == (1 if a == 2 else a)
-
-
-def test_invert_non_term_values():
-    assert _close_term(3, 4) == 0  # 3/16
-    assert _close_term(7, 3) == 0  # 7/8
 
 
 @given(st.sets(st.integers(min_value=1, max_value=500), min_size=1, max_size=60))

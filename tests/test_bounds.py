@@ -7,11 +7,11 @@ from dyadicrep.bounds import (
     ak_bound_cor,
     ak_bound_thm,
     corollary_bound_holds,
-    forced_prefix_len,
     max_n,
     product_bound_holds,
     trivial_solution,
 )
+from dyadicrep.search import enumerate_solutions
 from known_solutions import SMALL_K
 
 
@@ -65,18 +65,27 @@ def test_ak_bound_cor_dominates():
             assert ak_bound_thm(n, k) <= ak_bound_cor(k)
 
 
+def _forced_prefix_len(n: int, k: int) -> int:
+    """Largest j <= k-1 with n >= 2**(j+1) - j, or 0 when n < 3."""
+    j = 0
+    while j < k - 1 and n >= (1 << (j + 2)) - (j + 1):
+        j += 1
+    return j
+
+
 def test_forced_prefix():
-    # prefix a_i = n+i is forced for all i <= j once n >= 2**(j+1) - j
-    assert forced_prefix_len(1, 3) == 0
-    assert forced_prefix_len(3, 3) == 1
-    assert forced_prefix_len(9, 4) == 2
-    assert forced_prefix_len(35, 8) == 4
-    assert forced_prefix_len(120, 6) == 5  # capped at k-1
-    assert forced_prefix_len(502, 8) == 7
-    for k, sols in SMALL_K.items():
-        for n, terms in sols:
-            j = forced_prefix_len(n, k)
-            assert terms[:j] == tuple(range(n + 1, n + 1 + j))
+    # the paper's lemma: a_i = n+i is forced for all i <= j once
+    # n >= 2**(j+1) - j. The search never uses it, so it checks the search.
+    assert _forced_prefix_len(1, 3) == 0
+    assert _forced_prefix_len(3, 3) == 1
+    assert _forced_prefix_len(9, 4) == 2
+    assert _forced_prefix_len(35, 8) == 4
+    assert _forced_prefix_len(120, 6) == 5  # capped at k-1
+    assert _forced_prefix_len(502, 8) == 7
+    for k in range(2, 21):
+        for sol in enumerate_solutions(k):
+            j = _forced_prefix_len(sol.n, k)
+            assert sol.terms[:j] == tuple(range(sol.n + 1, sol.n + 1 + j))
 
 
 def test_product_and_corollary_bounds_on_solutions():

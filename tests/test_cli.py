@@ -51,7 +51,8 @@ def test_enumerate_json(capsys):
     assert payload["count"] == 6
     assert [(r["n"], tuple(r["a"])) for r in payload["rows"]] == SMALL_K[3]
     assert set(payload["prune_counters"]) == set(PRUNE_RULES)
-    assert payload["tasks"] > 0 and payload["nodes"] > 0
+    assert "tasks" not in payload and payload["nodes"] > 0
+    assert f"# enumerate k=3: {payload['nodes']} nodes, 6 found\n" in err
     assert "# elapsed:" in err
 
 
@@ -71,7 +72,7 @@ def test_enumerate_jobs_invariant_payload(capsys):
 
 
 def test_enumerate_jobs_defaults_to_one():
-    # a worker pool only pays off from k=14 on
+    # the search runs in one process; --jobs is only validated and echoed
     assert build_parser().parse_args(["enumerate", "8"]).jobs == 1
     assert build_parser().parse_args(["enumerate", "8", "--jobs", "2"]).jobs == 2
 
@@ -372,6 +373,14 @@ def test_failed_greedy_recheck_exits_4(capsys, monkeypatch, argv):
     assert "verification failure" in err and "re-check" in err
 
 
+def test_failed_search_post_check_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr("dyadicrep.search.product_bound_holds", lambda sol: False)
+    code, out, err = run_cli(capsys, "enumerate", "3")
+    assert code == 4
+    assert out == ""
+    assert "verification failure" in err and "product bound" in err
+
+
 def test_failed_greedy_x_recheck_exits_4(capsys, monkeypatch):
     def drop_last_term(*args):
         emitted, terminated = _greedy_walk(*args)
@@ -424,9 +433,10 @@ def test_fuzz_table1_u_max(u_max):
 
 
 
-# The checks below live only in the library (run_search, sweep, expand_chain,
-# greedy_for_n); the CLI maps their ValueError to exit 2. Inputs stay small
-# so that no example runs long, and only the fixed --jobs 2 one starts a pool.
+# The checks below live in the library (run_search, sweep, expand_chain,
+# greedy_for_n), apart from enumerate's --jobs, which the search no longer
+# takes; the CLI maps their ValueError to exit 2. Inputs stay small so that
+# no example runs long.
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(max_value=6), jobs=st.integers(-3, 1))
 @example(k=6, jobs=2)
@@ -498,19 +508,19 @@ def test_fuzz_greedy_x(x, max_k):
 # (exit code, sha256 of stdout) of each command in both formats, budget
 # exhaustion included; any change to a payload's bytes shows up here
 GOLDEN_PAYLOADS = {
-    "enumerate 2 --jobs 1 --format json": (0, "45c91128b3b2b2fb456663d238edf9135452ddf35f6d6b51ada5ef56c5ab204f"),
+    "enumerate 2 --jobs 1 --format json": (0, "eeabb329e97088c032150d5d4e765405e3c4def83fdb234f349a4fccc1a0d4be"),
     "enumerate 2 --jobs 1 --format csv": (0, "bed3435711042579d3e9b5ae3ff02e9413ade1afcaba6430713406307e7b92bf"),
-    "enumerate 3 --jobs 1 --format json": (0, "82be6e3d3efa3bc76bada28f1b0c373c4ebef7d73caa5ff680b12209b093720f"),
+    "enumerate 3 --jobs 1 --format json": (0, "d2c3b7579ce964841a1902456ba28d62d959ab26ed1875664bf6458c3f107a0d"),
     "enumerate 3 --jobs 1 --format csv": (0, "4d558cdbcccfc77f50c509a5b2ad4a9d59e3d42e3a6bb5f9c5f82fc76f6cd466"),
-    "enumerate 4 --jobs 1 --format json": (0, "c84947cb8a46682c762ab8183861d94ddaadf3d2ca4c95913133e0382c664aab"),
+    "enumerate 4 --jobs 1 --format json": (0, "edcd70254cf5ec4a0db403cd842aae93fc5eea5c78b6d021d43dc0eead4402a7"),
     "enumerate 4 --jobs 1 --format csv": (0, "0c0442dde0bb3fa1045b9233f09c56eb311af1e09c782fca0e3a02c3db6e30c4"),
-    "enumerate 5 --jobs 1 --format json": (0, "94fb0cbec8b83485dcc46df9df960e41b705aab29870688c6520eb7bb81a11b7"),
+    "enumerate 5 --jobs 1 --format json": (0, "8ef5f8f5fdbc2ea84bda9b00c59396b602ae0eb773ed49419aa519425ce31859"),
     "enumerate 5 --jobs 1 --format csv": (0, "97da2a07d216754e857ea3f2e7f9f3108e8746c68ab715a5645674762234bb87"),
-    "enumerate 6 --jobs 1 --format json": (0, "85ab179bbddb60aefdc5787117f161f67a4db79e79a49c769b64ce178a5ef461"),
+    "enumerate 6 --jobs 1 --format json": (0, "ce007b3660a804148a9ceda3e653d99317324b5df06854576d9723a7a570e98a"),
     "enumerate 6 --jobs 1 --format csv": (0, "a5f67445f417b4bb0469641fcb2b796ff17a238bcd282032cdd0603985a6a75d"),
-    "enumerate 7 --jobs 1 --format json": (0, "789e888d3463c9ef9ff68235b1a8d0504b25d2954c7624538bda3071c4b1534f"),
+    "enumerate 7 --jobs 1 --format json": (0, "8f5ce850e487f70f1d8903b6b208c0586fa6b52bcfdd685197110c58363ce0a1"),
     "enumerate 7 --jobs 1 --format csv": (0, "b166ac5414ac58bc4115c397a88b4b318863646bb0b2be6e9450146761d447cf"),
-    "enumerate 8 --jobs 1 --format json": (0, "59d51405f33ea8ba38c3d23773c019945c037671eeae80f69e6180c4babe5d09"),
+    "enumerate 8 --jobs 1 --format json": (0, "db6c621cab21930d2ef0f5d7942af8de356a4a0f7c037e2a566057fdb871c782"),
     "enumerate 8 --jobs 1 --format csv": (0, "416899a10d0bc3986950b1532ebb7e6b96f6b480819264a53b9f3646ad32c142"),
     "greedy --n 41 --format json": (0, "010ef4e8a0e61a2a4bcb1325e7ca48eeb5ec905c5c6dde2f5aa1c4df18f3ddbe"),
     "greedy --n 41 --format csv": (0, "def096b8fd9c6ee01a42f289a972e6aa925912b53e42434642cdb7952a8c30cf"),

@@ -1,20 +1,26 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from dyadicrep.arith import Solution, verify_solution
-from dyadicrep.bounds import ak_bound_cor, product_bound_holds, trivial_solution
+import dyadicrep.search as search
+from dyadicrep.arith import Solution, VerificationError, verify_solution
+from dyadicrep.bounds import (
+    ak_bound_cor,
+    max_n,
+    product_bound_holds,
+    trivial_solution,
+)
 from dyadicrep.congruence import congruence_holds, family_solution
 from dyadicrep.search import (
     PRUNE_RULES,
-    _close_term,
-    _run_sum_num,
+    _interval,
     count_solutions,
     enumerate_solutions,
     run_search,
 )
-from known_solutions import SMALL_K
+from known_solutions import MEDIUM_K, SMALL_K
 
 
 def _as_pairs(solutions):
@@ -48,11 +54,10 @@ def test_enumeration_matches_brute_force(k, cap):
 
 # --- golden solution sets ----------------------------------------------
 
-@pytest.mark.parametrize("k", sorted(SMALL_K))
+@pytest.mark.parametrize("k", sorted(SMALL_K | MEDIUM_K))
 def test_enumeration_golden_sets(k):
-    want = [Solution(n, terms) for n, terms in SMALL_K[k]]
-    result = run_search(k, jobs=2 if k == 8 else 1)
-    assert result.solutions == want
+    want = [Solution(n, terms) for n, terms in (SMALL_K | MEDIUM_K)[k]]
+    assert run_search(k).solutions == want
 
 
 def test_counts():
@@ -61,10 +66,7 @@ def test_counts():
 
 # --- past the published range: facts every run must reproduce -----------
 
-@pytest.mark.parametrize(
-    "k,count,family_ns", [(9, 5, []), (10, 7, []), (11, 3, []), (12, 5, [3265])]
-)
-def test_extended_range_cross_checks(k, count, family_ns):
+def _cross_check(k, count, family_ns):
     solutions = enumerate_solutions(k)
     assert len(solutions) == count
     assert trivial_solution(k) in solutions
@@ -77,105 +79,201 @@ def test_extended_range_cross_checks(k, count, family_ns):
         assert product_bound_holds(sol)
 
 
-# --- window bounds ------------------------------------------------------
+@pytest.mark.parametrize(
+    "k,count,family_ns",
+    [
+        (9, 5, []),
+        (10, 7, []),
+        (11, 3, []),
+        (12, 5, [3265]),
+        (2, 1, []),
+        (3, 6, []),
+        (4, 2, [9]),
+        (5, 4, [15]),
+        (6, 5, []),
+        (7, 5, []),
+        (8, 5, [197]),
+        (13, 14, []),
+        (14, 7, []),
+        (15, 11, []),
+        (16, 12, [52413]),
+        (17, 12, [80643]),
+        (18, 10, []),
+        (19, 6, []),
+        (20, 13, [838841]),
+    ],
+)
+def test_extended_range_cross_checks(k, count, family_ns):
+    _cross_check(k, count, family_ns)
 
-def _frac_run(b: int, m: int) -> Fraction:
-    return sum(Fraction(i, 2**i) for i in range(b, b + m))
+
+@pytest.mark.extended
+@pytest.mark.parametrize(
+    "k,count,family_ns",
+    [
+        (21, 11, []),
+        (22, 11, [2314077]),
+        (23, 20, []),
+        (24, 16, [13421749]),
+        (25, 14, []),
+        (26, 12, []),
+        (27, 19, []),
+        (28, 16, [214748337]),
+        (29, 13, [330382071]),
+        (30, 14, []),
+    ],
+)
+def test_enumeration_up_to_k30(k, count, family_ns):
+    _cross_check(k, count, family_ns)
 
 
-def _run(b: int, m: int) -> Fraction:
-    """The run b..b+m-1 from its closed-form numerator."""
-    return Fraction(_run_sum_num(b, m), 1 << (b - 1 + m))
+# --- the interval [lo, hi] on n at a prefix -------------------------------
+#
+# Everything below is computed from the definitions with Fraction sums,
+# never from the search's closed forms. For gaps e_1 < ... < e_r, the
+# remainder of n is (n/2^n - sum of the terms (n+e_i)/2^(n+e_i)) scaled by
+# 2^(n + e_r); an n can extend the prefix only if some choice of m more
+# gaps above e_r sums, scaled the same way, to exactly that remainder.
+
+def _prefix_qp(gaps):
+    er = gaps[-1] if gaps else 0
+    Q = (1 << er) - sum(1 << (er - e) for e in gaps)
+    P = sum(e << (er - e) for e in gaps)
+    return er, Q, P
 
 
-def test_tail_upper_matches_direct_sum():
-    for b in range(1, 40):
-        for m in range(1, 9):
-            assert _run(b, m) == _frac_run(b, m)
+def _remainder(n, gaps):
+    er = gaps[-1] if gaps else 0
+    rest = Fraction(n, 2**n) - sum(Fraction(n + e, 2 ** (n + e)) for e in gaps)
+    return rest * 2 ** (n + er)
+
+
+def _best_completion(n, gaps, m, cap):
+    """Largest scaled sum of m more terms n+e with e_r < e and n+e <= cap,
+    over every such choice."""
+    er = gaps[-1] if gaps else 0
+    values = [Fraction(n + e, 2 ** (e - er)) for e in range(er + 1, cap - n + 1)]
+    return max(sum(choice) for choice in combinations(values, m))
+
+
+def _random_prefixes():
+    """Seeded gap prefixes with one or two open slots, k = 3..5: a run
+    1..j, as every solution starts, then a few scattered gaps."""
+    rng = random.Random(11)
+    out = []
+    for _ in range(24):
+        k = rng.randint(3, 5)
+        m = rng.choice((1, 2))
+        j = rng.randint(0, k - m)
+        tail = rng.sample(range(j + 2, j + 7), k - m - j)
+        out.append((k, m, tuple(range(1, j + 1)) + tuple(sorted(tail))))
+    return out
+
+
+def test_root_interval_is_one_to_max_n():
+    for k in range(2, 40):
+        assert _interval(1, 0, 0, k) == (1, max_n(k))
 
 
 def test_tail_lower_matches_direct_sum():
-    # the top run ending at a_max, as the search scales it: over 2**a_max
-    for a_max in range(3, 40):
-        for m in range(1, a_max - 1):
-            low = Fraction(_run_sum_num(a_max - m + 1, m), 1 << a_max)
-            assert low == _frac_run(a_max - m + 1, m)
+    # lo is the least n whose remainder is positive
+    for k, m, gaps in _random_prefixes():
+        er, Q, P = _prefix_qp(gaps)
+        lo, _ = _interval(Q, P, er, m)
+        assert _remainder(lo, gaps) > 0
+        assert lo == 1 or _remainder(lo - 1, gaps) <= 0
+
+
+def test_tail_upper_matches_direct_sum():
+    # hi is the largest n whose remainder some completion can still reach
+    nonempty = 0
+    for k, m, gaps in _random_prefixes():
+        er, Q, P = _prefix_qp(gaps)
+        lo, hi = _interval(Q, P, er, m)
+        cap = ak_bound_cor(k)
+        assert hi + 1 + er + m <= cap  # the leading run is among the choices
+        if hi >= 1:
+            assert _remainder(hi, gaps) <= _best_completion(hi, gaps, m, cap)
+        assert _remainder(hi + 1, gaps) > _best_completion(hi + 1, gaps, m, cap)
+        nonempty += lo <= hi
+    assert nonempty >= 4
+
+
+def test_child_interval_lies_inside_parent():
+    # the search never intersects a child's interval with its parent's
+    for k, m, gaps in _random_prefixes() + [(k, k, ()) for k in range(2, 9)]:
+        if m < 2:
+            continue
+        er, Q, P = _prefix_qp(gaps)
+        lo, hi = _interval(Q, P, er, m)
+        for e in range(er + 1, er + 12):
+            _, Qc, Pc = _prefix_qp(gaps + (e,))
+            lo_c, hi_c = _interval(Qc, Pc, e, m - 1)
+            assert lo_c >= lo
+            assert lo_c > hi_c or hi_c <= hi
 
 
 def test_tail_upper_is_maximal_over_samples():
-    # no choice of m distinct indices >= b beats the leading run
-    tu = _run(7, 3)
+    # no choice of m distinct indices >= b beats the leading run, the fact
+    # behind hi and behind the stop rule of the child loop
+    run = sum(Fraction(i, 2**i) for i in range(7, 10))
     for combo in combinations(range(7, 20), 3):
-        assert sum(Fraction(i, 2**i) for i in combo) <= tu
+        assert sum(Fraction(i, 2**i) for i in combo) <= run
 
 
-def test_tail_lower_is_minimal_over_samples():
-    tl = _run(14, 3)
-    for combo in combinations(range(3, 17), 3):
-        assert sum(Fraction(i, 2**i) for i in combo) >= tl
-
-
-def test_close_term_round_trip():
-    S = 80
-    for a in range(3, S + 1):
-        assert _close_term(a << (S - a), S) == a
-    # 1/2 has the two preimages 1 and 2; the scan reports the smaller.
-    # Remainders at a close are always < 1/2, so the case never arises live.
-    assert _close_term(1 << (S - 1), S) == 1
-    # values that are not any a/2**a
-    assert _close_term(3 << (S - 4), S) == 0
-    assert _close_term(7 << (S - 3), S) == 0
-
-
-# --- determinism and counters -------------------------------------------
-
-def test_parallel_runs_reproduce_sequential_results():
-    base = run_search(5)
-    for jobs in (2, 4):
-        assert run_search(5, jobs=jobs) == base
-    assert run_search(10, jobs=2) == run_search(10, jobs=1)
-
+# --- counters, progress and the post-checks -------------------------------
 
 def test_prune_counters_structure():
     res = run_search(6)
     assert tuple(res.prune_counters) == PRUNE_RULES
-    assert res.nodes > 0 and res.tasks > 0
-    # exactness of the close step makes these guard counters unreachable
-    assert res.prune_counters["close_order"] == 0
-    assert res.prune_counters["close_divisibility"] == 0
-    assert res.prune_counters["product_bound"] == 0
-    assert res.prune_counters["tail_high"] > 0
-    assert res.prune_counters["tail_low"] > 0
+    assert all(v > 0 for v in res.prune_counters.values())
+    # every child tried ends as one rule, one solution or one subtree, and
+    # every subtree ends with one run_too_short
+    c = res.prune_counters
+    subtrees = c["run_too_short"] - 1
+    assert res.nodes == sum(c.values()) + len(res.solutions) + subtrees
 
 
 def test_k8_work_counters_are_frozen():
-    # part of the enumerate payload: any change to the pruning windows or
-    # the planning split moves them
+    # part of the enumerate payload: any change to the interval, the stop
+    # rule or the leaf check moves them
     res = run_search(8)
-    assert (res.tasks, res.nodes) == (413, 1424)
+    assert res.nodes == 546
     assert res.prune_counters == {
-        "forced_infeasible": 0,
-        "tail_high": 469,
-        "tail_low": 618,
-        "close_no_term": 364,
-        "close_order": 0,
-        "close_range": 0,
-        "close_divisibility": 0,
-        "product_bound": 0,
+        "interval_empty": 116,
+        "run_too_short": 160,
+        "leaf_miss": 106,
     }
 
 
-def test_progress_callback():
+def test_progress_callback(monkeypatch):
+    monkeypatch.setattr(search, "_PROGRESS_EVERY", 64)
     calls = []
-    res = run_search(4, progress=lambda d, t, f: calls.append((d, t, f)))
-    assert calls  # called at least at the end
-    done, total, found = calls[-1]
-    assert done == total == res.tasks
-    assert found == len(res.solutions)
+    res = run_search(8, progress=lambda nodes, found: calls.append((nodes, found)))
+    assert calls[-1] == (res.nodes, len(res.solutions))
+    reports = [nodes for nodes, _ in calls[:-1]]
+    assert len(reports) == res.nodes // 64
+    for i, nodes in enumerate(reports, 1):
+        assert 64 * i <= nodes < 64 * (i + 1)
+
+
+@pytest.mark.parametrize(
+    "name,fake",
+    [
+        ("verify_solution", lambda sol: False),
+        ("product_bound_holds", lambda sol: False),
+        ("ak_bound_thm", lambda n, k: n),
+    ],
+)
+def test_failed_post_check_raises(monkeypatch, name, fake):
+    # a found solution that breaks a lemma of the paper is reported, not dropped
+    monkeypatch.setattr(search, name, fake)
+    with pytest.raises(VerificationError):
+        run_search(3)
 
 
 def test_domain_errors():
     with pytest.raises(ValueError):
         run_search(1)
     with pytest.raises(ValueError):
-        run_search(3, jobs=0)
+        run_search(-4)
