@@ -19,7 +19,6 @@ from .bounds import (
 )
 from .chains import (
     HALF_PREFIXES,
-    ChainCertificationError,
     ChainResult,
     ChainStep,
     TailedRepresentation,
@@ -44,10 +43,10 @@ from .congruence import (
     is_prime,
     mult_order,
     solve_congruence,
+    table1,
     table_row,
 )
 from .crt import (
-    CertificationError,
     CongruenceClass,
     certify_multiplicity,
     combine_rows,
@@ -56,7 +55,6 @@ from .crt import (
 )
 from .greedy import (
     DEFAULT_MAX_K,
-    FeasibilityError,
     SweepRow,
     greedy_for_n,
     greedy_representation,
@@ -84,7 +82,6 @@ __all__ = [
     "product_bound_holds",
     "trivial_solution",
     "HALF_PREFIXES",
-    "ChainCertificationError",
     "ChainResult",
     "ChainStep",
     "TailedRepresentation",
@@ -107,15 +104,14 @@ __all__ = [
     "is_prime",
     "mult_order",
     "solve_congruence",
+    "table1",
     "table_row",
-    "CertificationError",
     "CongruenceClass",
     "certify_multiplicity",
     "combine_rows",
     "crt_pair",
     "scan_subsets",
     "DEFAULT_MAX_K",
-    "FeasibilityError",
     "SweepRow",
     "greedy_for_n",
     "greedy_representation",

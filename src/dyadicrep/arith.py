@@ -21,7 +21,9 @@ __all__ = [
 
 
 class VerificationError(RuntimeError):
-    """An emitted candidate failed its exactness or bound re-check."""
+    """A self-check failed on something about to be emitted: an exactness
+    or bound re-check, a walk invariant, a chain or multiplicity
+    certificate, or a table row's modular identities."""
 
 
 def scaled_sum(terms: Sequence[int]) -> int:

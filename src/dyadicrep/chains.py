@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import scaled_sum
+from .arith import VerificationError, scaled_sum
 from .greedy import DEFAULT_MAX_K, greedy_for_n
 
 __all__ = [
-    "ChainCertificationError",
     "ChainResult",
     "ChainStep",
     "HALF_PREFIXES",
@@ -29,10 +28,6 @@ __all__ = [
     "tail_sum",
     "three_representations",
 ]
-
-
-class ChainCertificationError(RuntimeError):
-    """A chain failed a structural or exactness check."""
 
 
 def _term_list_value(terms: tuple[int, ...]) -> Fraction:
@@ -100,7 +95,7 @@ def three_representations(p: int, q: int) -> list[TailedRepresentation]:
     for rep in reps:
         # sum == 1/2 scaled by 2**a_k
         if scaled_sum(rep.prefix) != 1 << (rep.prefix[-1] - 1):
-            raise ChainCertificationError(f"prefix {rep.prefix} does not sum to 1/2")
+            raise VerificationError(f"prefix {rep.prefix} does not sum to 1/2")
     return reps
 
 
@@ -133,6 +128,10 @@ class ChainResult:
 
 _DIGEST_CHUNK = 4096
 
+# steps 1.._KEEP_TERMS_DEPTH keep their full term lists; deeper steps, whose
+# lists run to millions of terms, keep only the digest
+_KEEP_TERMS_DEPTH = 3
+
 
 def _digest(terms: Sequence[int]) -> str:
     """sha256 of the comma-joined terms, fed a chunk at a time so that a
@@ -144,13 +143,7 @@ def _digest(terms: Sequence[int]) -> str:
     return h.hexdigest()
 
 
-def expand_chain(
-    a_start: int,
-    depth: int,
-    max_k: int = DEFAULT_MAX_K,
-    *,
-    keep_terms_depth: int = 3,
-) -> ChainResult:
+def expand_chain(a_start: int, depth: int, max_k: int = DEFAULT_MAX_K) -> ChainResult:
     """Iterated greedy expansion: step i expands the last term of step i-1
     (step 1 expands a_start/2**a_start).
 
@@ -173,7 +166,7 @@ def expand_chain(
         k, sol = got
         terms = sol.terms
         if terms[0] <= source:
-            raise ChainCertificationError(
+            raise VerificationError(
                 f"step {i}: expansion starts at {terms[0]}, not above {source}"
             )
         steps.append(
@@ -184,7 +177,7 @@ def expand_chain(
                 first_term=terms[0],
                 last_term=terms[-1],
                 digest=_digest(terms),
-                terms=terms if i <= keep_terms_depth else None,
+                terms=terms if i <= _KEEP_TERMS_DEPTH else None,
             )
         )
         source = terms[-1]
@@ -203,30 +196,30 @@ def representation_count_certificate(chain: ChainResult) -> int:
     and re-verifies the exactness of every step that kept its terms.
     """
     if not chain.steps:
-        raise ChainCertificationError("empty chain certifies nothing")
+        raise VerificationError("empty chain certifies nothing")
     expect = chain.start
     for i, step in enumerate(chain.steps, start=1):
         if step.index != i:
-            raise ChainCertificationError(f"step {i} mislabeled as {step.index}")
+            raise VerificationError(f"step {i} mislabeled as {step.index}")
         if step.source != expect:
-            raise ChainCertificationError(
+            raise VerificationError(
                 f"step {i} expands {step.source}, expected {expect}"
             )
         if not step.source < step.first_term <= step.last_term:
-            raise ChainCertificationError(f"step {i} is not strictly above its source")
+            raise VerificationError(f"step {i} is not strictly above its source")
         if step.k < 2:
-            raise ChainCertificationError(f"step {i} has fewer than two terms")
+            raise VerificationError(f"step {i} has fewer than two terms")
         if step.terms is not None:
             if len(step.terms) != step.k:
-                raise ChainCertificationError(f"step {i} term count mismatch")
+                raise VerificationError(f"step {i} term count mismatch")
             if step.terms[0] != step.first_term or step.terms[-1] != step.last_term:
-                raise ChainCertificationError(f"step {i} endpoints mismatch")
+                raise VerificationError(f"step {i} endpoints mismatch")
             if _digest(step.terms) != step.digest:
-                raise ChainCertificationError(f"step {i} digest mismatch")
+                raise VerificationError(f"step {i} digest mismatch")
             if any(b <= a for a, b in zip(step.terms, step.terms[1:])):
-                raise ChainCertificationError(f"step {i} terms are out of order")
+                raise VerificationError(f"step {i} terms are out of order")
             # scaled by 2**last_term; the order check keeps every shift >= 0
             if scaled_sum(step.terms) != step.source << (step.last_term - step.source):
-                raise ChainCertificationError(f"step {i} does not sum to its source")
+                raise VerificationError(f"step {i} does not sum to its source")
         expect = step.last_term
     return chain.depth + 1

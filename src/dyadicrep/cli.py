@@ -26,42 +26,16 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .arith import VerificationError
-from .chains import (
-    ChainCertificationError,
-    expand_chain,
-    representation_count_certificate,
-)
-from .congruence import (
-    EMBEDDED_US,
-    PROVEN_PRIME_LIMIT,
-    TABLE_ROWS,
-    UnsupportedModulusError,
-    check_row,
-    family_modulus,
-    solve_congruence,
-    table_row,
-)
-from .crt import CertificationError, certify_multiplicity, scan_subsets
-from .greedy import (
-    DEFAULT_MAX_K,
-    FeasibilityError,
-    greedy_for_n,
-    greedy_representation,
-    sweep,
-)
+from .chains import expand_chain, representation_count_certificate
+from .congruence import TABLE_ROWS, UnsupportedModulusError, table1, table_row
+from .crt import certify_multiplicity, scan_subsets
+from .greedy import DEFAULT_MAX_K, greedy_for_n, greedy_representation, sweep
 from .search import run_search
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_VERIFY = 4
-
-_VERIFY_ERRORS = (
-    VerificationError,
-    ChainCertificationError,
-    CertificationError,
-    FeasibilityError,
-)
 
 
 def _cell(value: object) -> object:
@@ -187,25 +161,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    if args.u_max < 0:
-        raise ValueError("--u-max must be non-negative")
-    recs = []
-    skipped = []
-    for u in range(args.u_max + 1):
-        if family_modulus(u) < PROVEN_PRIME_LIMIT:
-            row, status = solve_congruence(u), "computed"
-        elif u in EMBEDDED_US:
-            row, status = table_row(u), "verified-constant"
-        else:
-            skipped.append(u)
-            continue
-        if row is None:
-            continue
-        try:
-            check_row(row)
-        except ValueError as exc:
-            raise VerificationError(str(exc)) from exc
-        recs.append({"u": row.u, "k0": row.k0, "r": row.r, "status": status})
+    rows, skipped = table1(args.u_max)
+    recs = [
+        {"u": row.u, "k0": row.k0, "r": row.r, "status": status}
+        for row, status in rows
+    ]
     payload = {
         "command": "table1",
         "parameters": {"u_max": args.u_max},
@@ -213,8 +173,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     }
     _emit(args, payload, [(key, key) for key in ("u", "k0", "r", "status")])
     if skipped:
+        count, first, last = skipped
         _note(
-            f"{len(skipped)} values of u ({skipped[0]}..{skipped[-1]}) are past "
+            f"{count} values of u ({first}..{last}) are past "
             "the proven-prime policy and have no embedded row; skipped, "
             "not claimed unsolvable"
         )
@@ -380,7 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     t0 = time.perf_counter()
     try:
         return args.func(args)
-    except _VERIFY_ERRORS as exc:
+    except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except UnsupportedModulusError as exc:

@@ -19,10 +19,10 @@ The logarithm is Pohlig-Hellman (1978) over the factored r, with
 baby-step/giant-step in each prime-order subgroup, and a missing
 component is a proof that u has no row.
 
-Policy: moduli at or past psi_13 raise UnsupportedModulusError unless the
-caller supplies a factored multiple of the order. That puts every u <= 78
-in range; the rows for u in {99, 113, 119} ship as constants verified by
-the modular identities 3*2**(k0-1) + 3u + 1 == 0 and 2**r == 1 (mod M).
+Policy: moduli at or past psi_13 raise UnsupportedModulusError. That puts
+every u <= 78 in range; the rows for u in {99, 113, 119} ship as constants
+verified by the modular identities 3*2**(k0-1) + 3u + 1 == 0 and
+2**r == 1 (mod M). table1 applies this policy to every u up to a bound.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ __all__ = [
     "is_prime",
     "mult_order",
     "solve_congruence",
+    "table1",
     "table_row",
 ]
 
@@ -194,33 +195,17 @@ def _carmichael(modulus: int) -> tuple[int, dict[int, int]]:
     return prod(q**f for q, f in lam.items()), lam
 
 
-def mult_order(
-    modulus: int,
-    *,
-    order_multiple: Optional[int] = None,
-    factors: Optional[dict[int, int]] = None,
-) -> int:
-    """Least v >= 1 with 2**v == 1 (mod modulus), for odd modulus >= 3.
-
-    A multiple of the order with its prime factorization {p: e} is reduced
-    by stripping primes while the power stays 1. Without hints the
-    multiple is lambda(modulus), computed from the factorization of the
-    modulus; that needs modulus < PROVEN_PRIME_LIMIT. With order_multiple
-    and factors, any modulus is supported.
+def mult_order(modulus: int) -> int:
+    """Least v >= 1 with 2**v == 1 (mod modulus), for odd modulus with
+    3 <= modulus < PROVEN_PRIME_LIMIT: lambda(modulus), computed from the
+    factorization of the modulus, with primes stripped while the power
+    stays 1.
     """
     if modulus < 3 or modulus % 2 == 0:
         raise ValueError("modulus must be an odd integer >= 3")
-    if order_multiple is None:
-        if modulus >= PROVEN_PRIME_LIMIT:
-            raise UnsupportedModulusError(
-                f"modulus {modulus} >= psi_13: supply order_multiple with factors"
-            )
-        order_multiple, factors = _carmichael(modulus)
-    elif factors is None:
-        raise ValueError("order_multiple needs its factorization")
-    if pow(2, order_multiple, modulus) != 1:
-        raise ValueError("order_multiple is not a multiple of the order")
-    v = order_multiple
+    if modulus >= PROVEN_PRIME_LIMIT:
+        raise UnsupportedModulusError(f"modulus {modulus} >= psi_13")
+    v, factors = _carmichael(modulus)
     for p in factors:
         while v % p == 0 and pow(2, v // p, modulus) == 1:
             v //= p
@@ -296,16 +281,16 @@ class ProgressionRow:
 
 def check_row(row: ProgressionRow) -> None:
     """Modular identity checks: the congruence holds at k0 and 2**r == 1.
-    Raises ValueError on failure. (Least-ness is established by
+    Raises VerificationError on failure. (Least-ness is established by
     solve_congruence, not re-proved here: r is reduced from lambda(M) over
     proven primes, and k0 - 1 is the unique logarithm in [0, r).)"""
     m = family_modulus(row.u)
     if not 1 <= row.k0 <= row.r:
-        raise ValueError(f"u={row.u}: k0 must lie in [1, r]")
-    if (3 * pow(2, row.k0 - 1, m) + 3 * row.u + 1) % m:
-        raise ValueError(f"u={row.u}: congruence fails at k0={row.k0}")
+        raise VerificationError(f"u={row.u}: k0 must lie in [1, r]")
+    if not congruence_holds(row.u, row.k0):
+        raise VerificationError(f"u={row.u}: congruence fails at k0={row.k0}")
     if pow(2, row.r, m) != 1:
-        raise ValueError(f"u={row.u}: 2^r != 1 mod {m}")
+        raise VerificationError(f"u={row.u}: 2^r != 1 mod {m}")
 
 
 def solve_congruence(u: int) -> Optional[ProgressionRow]:
@@ -328,8 +313,6 @@ def solve_congruence(u: int) -> Optional[ProgressionRow]:
 # Progression table of the paper: every u <= 78 admitting a row (all are
 # recomputed by solve_congruence), plus the three rows past the proven-
 # prime policy, shipped as constants verified by check_row.
-EMBEDDED_US = frozenset({99, 113, 119})
-
 TABLE_ROWS: tuple[ProgressionRow, ...] = (
     ProgressionRow(0, 4, 4),
     ProgressionRow(1, 5, 12),
@@ -358,3 +341,39 @@ def table_row(u: int) -> Optional[ProgressionRow]:
         if row.u == u:
             return row
     return None
+
+
+# the last u whose modulus 2**(u+3) - 3 lies below PROVEN_PRIME_LIMIT (78)
+_COMPUTED_U_MAX = (PROVEN_PRIME_LIMIT + 2).bit_length() - 4
+
+EMBEDDED_US = frozenset(row.u for row in TABLE_ROWS if row.u > _COMPUTED_U_MAX)
+
+
+def table1(
+    u_max: int,
+) -> tuple[list[tuple[ProgressionRow, str]], Optional[tuple[int, int, int]]]:
+    """Table 1 up to u_max: the rows, each passed by check_row, with their
+    status, and (count, least, greatest) of the skipped u, or None.
+
+    Every u <= 78 is decided by solve_congruence ("computed"); past that,
+    only the embedded rows appear ("verified-constant"), and every other
+    u is skipped, not claimed unsolvable.
+    """
+    if u_max < 0:
+        raise ValueError("u_max must be non-negative")
+    rows = [
+        (row, "computed")
+        for row in map(solve_congruence, range(min(u_max, _COMPUTED_U_MAX) + 1))
+        if row is not None
+    ]
+    embedded = [u for u in sorted(EMBEDDED_US) if u <= u_max]
+    rows += [(table_row(u), "verified-constant") for u in embedded]
+    for row, _ in rows:
+        check_row(row)
+    count = u_max - _COMPUTED_U_MAX - len(embedded)
+    if count <= 0:
+        return rows, None
+    last = u_max
+    while last in EMBEDDED_US:
+        last -= 1
+    return rows, (count, _COMPUTED_U_MAX + 1, last)

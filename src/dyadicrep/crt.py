@@ -21,20 +21,16 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
+from .arith import VerificationError
 from .congruence import ProgressionRow, congruence_holds
 
 __all__ = [
-    "CertificationError",
     "CongruenceClass",
     "certify_multiplicity",
     "combine_rows",
     "crt_pair",
     "scan_subsets",
 ]
-
-
-class CertificationError(RuntimeError):
-    """A multiplicity certificate failed one of its identity checks."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,24 +129,24 @@ def certify_multiplicity(
     positive), and the rows' u values are distinct (distinct u means
     distinct second-largest term n+k+u, so the families cannot collide;
     the trivial solution's terms are consecutive, which no family's are).
-    Raises CertificationError on any failure; returns 1 + len(rows).
+    Raises VerificationError on any failure; returns 1 + len(rows).
     """
     k = k_class.least_member_at_least(2)
     seen_u = set()
     for row in rows:
         if row.u in seen_u:
-            raise CertificationError(f"duplicate row u={row.u}")
+            raise VerificationError(f"duplicate row u={row.u}")
         seen_u.add(row.u)
         if k % row.r != row.k0 % row.r:
-            raise CertificationError(
+            raise VerificationError(
                 f"k={k} is not in row u={row.u}'s progression"
             )
         if not congruence_holds(row.u, k):
-            raise CertificationError(
+            raise VerificationError(
                 f"congruence fails for u={row.u} at k={k}"
             )
         if k < row.u + 3:
-            raise CertificationError(
+            raise VerificationError(
                 f"k={k} too small for a nondegenerate u={row.u} family"
             )
     return 1 + len(rows)

@@ -27,7 +27,6 @@ from .arith import Solution, VerificationError, scaled_sum, verify_solution
 
 __all__ = [
     "DEFAULT_MAX_K",
-    "FeasibilityError",
     "SweepRow",
     "greedy_for_n",
     "greedy_representation",
@@ -36,10 +35,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_K = 1 << 20
-
-
-class FeasibilityError(AssertionError):
-    """The invariant x_i < i+1 broke; the walk cannot be greedy-feasible."""
 
 
 def _validate_x(x: Fraction) -> Fraction:
@@ -96,7 +91,7 @@ def _greedy_walk(
     k = 0
     while n_loc and k <= max_k:
         if check and n_loc >= ((i + 1) * d) << h:
-            raise FeasibilityError(f"x_{i} >= {i + 1} (scaled remainder {n_loc})")
+            raise VerificationError(f"x_{i} >= {i + 1} (scaled remainder {n_loc})")
         if h:
             thr = (i * d) << (h - 1)
             if n_loc >= thr:

@@ -12,7 +12,8 @@ emit exactly the indices this recurrence emits.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from dyadicrep.greedy import FeasibilityError, k_zero
+from dyadicrep.arith import VerificationError
+from dyadicrep.greedy import k_zero
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,7 +37,7 @@ def advance(state: GreedyState) -> GreedyState:
     if state.value <= 0:
         raise ValueError("cannot advance a terminated state")
     if state.value >= state.index + 1:
-        raise FeasibilityError(
+        raise VerificationError(
             f"x_{state.index} = {state.value} >= {state.index + 1}"
         )
     t = 2 * state.value - state.index

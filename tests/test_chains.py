@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from dyadicrep.arith import VerificationError
 from dyadicrep.chains import (
     _DIGEST_CHUNK,
     HALF_PREFIXES,
-    ChainCertificationError,
     ChainResult,
     TailedRepresentation,
     _digest,
@@ -72,7 +72,7 @@ def test_three_representations_rechecks_each_prefix(monkeypatch):
     monkeypatch.setattr(
         "dyadicrep.chains.HALF_PREFIXES", HALF_PREFIXES[:2] + ((3, 6, 9),)
     )
-    with pytest.raises(ChainCertificationError, match="does not sum to 1/2"):
+    with pytest.raises(VerificationError, match="does not sum to 1/2"):
         three_representations(3, 14)
 
 
@@ -116,13 +116,10 @@ def test_expand_chain_depth_five_golden():
     assert representation_count_certificate(chain) == 6
 
 
-def test_expand_chain_depth_one_and_keep_override():
+def test_expand_chain_depth_one():
     chain = expand_chain(8, 1)
     assert [(s.k, s.last_term) for s in chain.steps] == [(13, 32)]
     assert representation_count_certificate(chain) == 2
-    bare = expand_chain(8, 2, keep_terms_depth=0)
-    assert all(s.terms is None for s in bare.steps)
-    assert representation_count_certificate(bare) == 3
 
 
 def test_expand_chain_budget_exhaustion():
@@ -172,38 +169,38 @@ def _with_terms(chain, i, terms):
 def test_certificate_rejects_tampering():
     chain = expand_chain(8, 3)
 
-    with pytest.raises(ChainCertificationError, match="certifies nothing"):
+    with pytest.raises(VerificationError, match="certifies nothing"):
         representation_count_certificate(ChainResult(8, [], False))
-    with pytest.raises(ChainCertificationError, match="mislabeled"):
+    with pytest.raises(VerificationError, match="mislabeled"):
         representation_count_certificate(_tampered(chain, 1, index=5))
-    with pytest.raises(ChainCertificationError, match="expands"):
+    with pytest.raises(VerificationError, match="expands"):
         representation_count_certificate(_tampered(chain, 1, source=33))
-    with pytest.raises(ChainCertificationError, match="strictly above"):
+    with pytest.raises(VerificationError, match="strictly above"):
         representation_count_certificate(
             _tampered(chain, 0, first_term=chain.steps[0].source)
         )
-    with pytest.raises(ChainCertificationError, match="fewer than two"):
+    with pytest.raises(VerificationError, match="fewer than two"):
         representation_count_certificate(_tampered(chain, 2, k=1))
-    with pytest.raises(ChainCertificationError, match="term count"):
+    with pytest.raises(VerificationError, match="term count"):
         representation_count_certificate(
             _tampered(chain, 0, k=chain.steps[0].k + 1)
         )
-    with pytest.raises(ChainCertificationError, match="endpoints"):
+    with pytest.raises(VerificationError, match="endpoints"):
         representation_count_certificate(
             _tampered(chain, 2, last_term=chain.steps[2].last_term + 1)
         )
-    with pytest.raises(ChainCertificationError, match="digest"):
+    with pytest.raises(VerificationError, match="digest"):
         representation_count_certificate(_tampered(chain, 1, digest="0" * 64))
 
     # a consistent-looking last step whose terms do not sum to the source
     bad_terms = chain.steps[2].terms[:-1] + (chain.steps[2].terms[-1] + 1,)
-    with pytest.raises(ChainCertificationError, match="sum to its source"):
+    with pytest.raises(VerificationError, match="sum to its source"):
         representation_count_certificate(_with_terms(chain, 2, bad_terms))
 
     # the same terms, two middle ones swapped: same sum, endpoints and count
     terms = list(chain.steps[2].terms)
     terms[5], terms[6] = terms[6], terms[5]
-    with pytest.raises(ChainCertificationError, match="out of order"):
+    with pytest.raises(VerificationError, match="out of order"):
         representation_count_certificate(_with_terms(chain, 2, tuple(terms)))
 
 

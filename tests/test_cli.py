@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
@@ -15,11 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dyadicrep
+from dyadicrep.chains import ChainResult, expand_chain
 from dyadicrep.cli import build_parser, main
 from dyadicrep.congruence import (
     TABLE_ROWS,
     ProgressionRow,
     UnsupportedModulusError,
+    table_row,
 )
 from dyadicrep.greedy import SweepRow, _greedy_walk, greedy_for_n
 from dyadicrep.search import PRUNE_RULES
@@ -247,11 +250,20 @@ def test_table1_full_range_with_embedded_rows(capsys):
     assert "(79..118)" in err  # 119 itself is embedded, 118 is the last skip
 
 
+def test_table1_huge_u_max_counts_its_skips(capsys):
+    code, out, err = run_cli(capsys, "table1", "--u-max", "1000000000")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + len(TABLE_ROWS)
+    assert "999999919 values of u (79..1000000000)" in err
+
+
 def test_table1_corrupt_embedded_row_exits_4(capsys, monkeypatch):
     by_u = {row.u: row for row in TABLE_ROWS}
-    monkeypatch.setattr("dyadicrep.cli.solve_congruence", lambda u: by_u.get(u))
     monkeypatch.setattr(
-        "dyadicrep.cli.table_row", lambda u: ProgressionRow(u, 1, 4)
+        "dyadicrep.congruence.solve_congruence", lambda u: by_u.get(u)
+    )
+    monkeypatch.setattr(
+        "dyadicrep.congruence.table_row", lambda u: ProgressionRow(u, 1, 4)
     )
     code, out, err = run_cli(capsys, "table1", "--u-max", "99")
     assert code == 4
@@ -260,7 +272,7 @@ def test_table1_corrupt_embedded_row_exits_4(capsys, monkeypatch):
 
 def test_table1_corrupt_computed_row_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(
-        "dyadicrep.cli.solve_congruence", lambda u: ProgressionRow(u, 1, 4)
+        "dyadicrep.congruence.solve_congruence", lambda u: ProgressionRow(u, 1, 4)
     )
     code, out, err = run_cli(capsys, "table1", "--u-max", "3")
     assert code == 4
@@ -271,7 +283,7 @@ def test_table1_unsupported_modulus_maps_to_exit_3(capsys, monkeypatch):
     def boom(u):
         raise UnsupportedModulusError("out of policy")
 
-    monkeypatch.setattr("dyadicrep.cli.solve_congruence", boom)
+    monkeypatch.setattr("dyadicrep.congruence.solve_congruence", boom)
     code, _, err = run_cli(capsys, "table1", "--u-max", "4")
     assert code == 3
     assert "unsupported:" in err
@@ -307,6 +319,18 @@ def test_multiplicity_empty_five_subsets(capsys):
     assert out == "us,residue,modulus,k,certificate\n"
 
 
+def test_multiplicity_corrupt_row_exits_4(capsys, monkeypatch):
+    def shifted(u):
+        row = table_row(u)
+        return ProgressionRow(u, row.k0 + 1, row.r)
+
+    monkeypatch.setattr("dyadicrep.cli.table_row", shifted)
+    code, out, err = run_cli(capsys, "multiplicity", "--subset-size", "1")
+    assert code == 4
+    assert out == ""
+    assert "verification failure" in err and "progression" in err
+
+
 def test_multiplicity_usage_errors(capsys):
     assert run_cli(capsys, "multiplicity", "--subset-size", "0")[0] == 2
     assert run_cli(capsys, "multiplicity", "--subset-size", "17")[0] == 2
@@ -339,6 +363,19 @@ def test_chain_json_with_digests(capsys):
         assert row["digest"] == hashlib.sha256(joined).hexdigest()
         assert row["first_term"] == row["terms"][0]
         assert row["last_term"] == row["terms"][-1]
+
+
+def test_chain_tampered_digest_exits_4(capsys, monkeypatch):
+    def tampered(*args):
+        chain = expand_chain(*args)
+        steps = [replace(s, digest="0" * 64) for s in chain.steps]
+        return ChainResult(chain.start, steps, chain.exhausted)
+
+    monkeypatch.setattr("dyadicrep.cli.expand_chain", tampered)
+    code, out, err = run_cli(capsys, "chain", "8", "2")
+    assert code == 4
+    assert out == ""
+    assert "verification failure" in err and "digest mismatch" in err
 
 
 def test_chain_budget_exhaustion(capsys):

@@ -20,6 +20,7 @@ from dyadicrep.congruence import (
     is_prime,
     mult_order,
     solve_congruence,
+    table1,
     table_row,
 )
 from known_solutions import COMPUTED_ROWS
@@ -96,7 +97,7 @@ def test_check_row_accepts_the_full_table():
     ],
 )
 def test_check_row_rejects_corrupt_rows(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError):
         check_row(bad)
 
 
@@ -109,6 +110,26 @@ def test_embedded_rows_are_the_out_of_policy_ones():
             assert family_modulus(row.u) < PROVEN_PRIME_LIMIT
     # u=78 is the last modulus inside the policy
     assert family_modulus(78) < PROVEN_PRIME_LIMIT <= family_modulus(79)
+
+
+@pytest.mark.parametrize(
+    "u_max, skipped",
+    [
+        (0, None),
+        (78, None),
+        (79, (1, 79, 79)),
+        (99, (20, 79, 98)),
+        (100, (21, 79, 100)),
+        (119, (38, 79, 118)),
+        (10**12, (10**12 - 81, 79, 10**12)),
+    ],
+)
+def test_table1_rows_and_skipped_range(u_max, skipped):
+    rows, got = table1(u_max)
+    assert got == skipped
+    assert [row for row, _ in rows] == [row for row in TABLE_ROWS if row.u <= u_max]
+    for row, status in rows:
+        assert status == ("computed" if row.u <= 78 else "verified-constant")
 
 
 def test_table_row_lookup():
@@ -161,45 +182,16 @@ def test_mult_order_against_pow_scan():
         assert mult_order(m) == _order_by_pow(m)
 
 
-def test_mult_order_factored_path():
-    assert mult_order(11, order_multiple=40, factors={2: 3, 5: 1}) == 10
-    assert mult_order(31, order_multiple=30, factors={2: 1, 3: 1, 5: 1}) == 5
-    # hints must agree with the plain loop wherever both apply
-    for m in (9, 23, 89, 341):
-        ord_plain = mult_order(m)
-        mult = ord_plain * 12
-        factors = _factorize(mult)
-        assert mult_order(m, order_multiple=mult, factors=factors) == ord_plain
-
-
-def _factorize(v: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= v:
-        while v % p == 0:
-            out[p] = out.get(p, 0) + 1
-            v //= p
-        p += 1
-    if v > 1:
-        out[v] = out.get(v, 0) + 1
-    return out
-
-
 def test_mult_order_domain():
     with pytest.raises(ValueError):
         mult_order(10)
     with pytest.raises(ValueError):
         mult_order(1)
-    with pytest.raises(ValueError):
-        mult_order(11, order_multiple=40)  # factors missing
-    with pytest.raises(ValueError):
-        mult_order(11, order_multiple=7, factors={7: 1})  # not a multiple
     with pytest.raises(UnsupportedModulusError):
         mult_order((1 << 82) - 3)
-    # hints lift the policy
+    # the embedded u=99 order is not halved: 2**(r/2) != 1 (mod M)
     u99 = table_row(99)
-    m99 = family_modulus(99)
-    assert mult_order(m99, order_multiple=u99.r, factors={2: 1}) == u99.r
+    assert pow(2, u99.r // 2, family_modulus(99)) != 1
 
 
 def test_mult_order_matches_sympy():

@@ -6,8 +6,8 @@ import pytest
 
 import dyadicrep.crt as crt_module
 from dyadicrep.congruence import TABLE_ROWS, ProgressionRow, congruence_holds, table_row
+from dyadicrep.arith import VerificationError
 from dyadicrep.crt import (
-    CertificationError,
     CongruenceClass,
     certify_multiplicity,
     combine_rows,
@@ -184,12 +184,12 @@ def test_certify_single_and_pair():
 
 def test_certify_rejects_duplicate_rows():
     row = table_row(0)
-    with pytest.raises(CertificationError, match="duplicate"):
+    with pytest.raises(VerificationError, match="duplicate"):
         certify_multiplicity(CongruenceClass(0, 4), [row, row])
 
 
 def test_certify_rejects_wrong_progression():
-    with pytest.raises(CertificationError, match="progression"):
+    with pytest.raises(VerificationError, match="progression"):
         certify_multiplicity(CongruenceClass(0, 4), [table_row(1)])
 
 
@@ -197,5 +197,5 @@ def test_certify_rejects_false_congruence():
     # a fabricated row whose progression test passes but whose congruence
     # has no solutions at all (u=5 admits none)
     fake = ProgressionRow(5, 2, 2)
-    with pytest.raises(CertificationError, match="congruence"):
+    with pytest.raises(VerificationError, match="congruence"):
         certify_multiplicity(CongruenceClass(0, 2), [fake])

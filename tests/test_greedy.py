@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadicrep.arith import verify_solution
+from dyadicrep.arith import VerificationError, verify_solution
 from dyadicrep.greedy import (
     DEFAULT_MAX_K,
-    FeasibilityError,
+    _greedy_walk,
     greedy_for_n,
     greedy_representation,
     k_zero,
@@ -125,8 +125,17 @@ def test_domain_errors():
 def test_advance_guards():
     with pytest.raises(ValueError):
         advance(GreedyState(5, Fraction(0)))
-    with pytest.raises(FeasibilityError):
+    with pytest.raises(VerificationError):
         advance(GreedyState(2, Fraction(4)))
+
+
+def test_walk_rejects_an_infeasible_start():
+    # x_3 = 4 breaks x_i < i+1; the checked walk stops before emitting
+    with pytest.raises(VerificationError, match="x_3 >= 4"):
+        _greedy_walk(3, 4, 0, 1, 10, True)
+    # the same start at scale 2**2: x_3 = 16/4
+    with pytest.raises(VerificationError, match="x_3 >= 4"):
+        _greedy_walk(3, 16, 2, 1, 10, True)
 
 
 def test_sweep_matches_single_runs():
