@@ -160,7 +160,7 @@ def expand_chain(a_start: int, depth: int, max_k: int = DEFAULT_MAX_K) -> ChainR
     source = a_start
     steps: list[ChainStep] = []
     for i in range(1, depth + 1):
-        got = greedy_for_n(source, max_k, check=True)
+        got = greedy_for_n(source, max_k)
         if got is None:
             return ChainResult(a_start, steps, True)
         k, sol = got

@@ -10,14 +10,15 @@ k0 the first index whose term value drops strictly below x,
 The run terminates exactly when some x_i hits 0, and the emitted indices
 are then a representation of x. Strictness in k0 means an x equal to some
 j/2**j is never expanded as the single term j; the walk starts past j
-(so 1/4 expands to {5, 6}, not {4}). All state stays integral whenever x
-is n/2**n; general rationals p/q are tracked as an integer numerator over
-the fixed denominator q with its power of two peeled off step by step, so
-no fraction arithmetic happens in the loop either way.
+(so 1/4 expands to {5, 6}, not {4}). The remainder is kept as integers
+x_i = r/q, starting from the reduced fraction x_{k0}: doubling halves q
+while q is even and doubles r once q is odd, so no fraction arithmetic
+happens in the loop. For x = n/2**n the walk starts at q = 1.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,106 +45,99 @@ def _validate_x(x: Fraction) -> Fraction:
     return x
 
 
-def _k_zero_parts(p: int, q: int) -> tuple[int, int]:
-    """(k0, p * 2**k0) for x = p/q: k0 is minimal with k0/2**k0 < x.
+def k_zero(x: Fraction) -> int:
+    """Minimal k >= 1 with k/2**k strictly below x.
 
-    Integer form of the scan: keep w = p * 2**i and advance while
-    i/2**i >= p/q, i.e. while w <= i*q. The inequality is strict by
+    Integer form of the scan: keep w = p * 2**i for x = p/q and advance
+    while i/2**i >= p/q, i.e. while w <= i*q. The inequality is strict by
     construction, so x equal to a term value j/2**j scans past j.
     """
+    x = _validate_x(x)
+    p, q = x.numerator, x.denominator
     i = 1
     w = p << 1
     while w <= i * q:
         w <<= 1
         i += 1
-    return i, w
-
-
-def k_zero(x: Fraction) -> int:
-    """Minimal k >= 1 with k/2**k strictly below x."""
-    x = _validate_x(x)
-    return _k_zero_parts(x.numerator, x.denominator)[0]
+    return i
 
 
 def _greedy_walk(
-    start_index: int,
-    num: int,
-    two_exp: int,
-    odd_den: int,
-    max_k: int,
-    check: bool,
+    i: int, r: int, q: int, max_k: int, check: bool
 ) -> tuple[list[int], bool]:
-    """Core loop; returns (emitted, terminated).
+    """Core loop from x_i = r/q; returns (emitted, terminated).
 
-    The remainder at index i is num / (odd_den * 2**two_exp); two_exp only
-    ever shrinks, hitting 0 after at most its initial value steps, beyond
-    which every operation is on plain integers.
+    Doubling halves q while it is even and doubles r once it is odd, so
+    the power of two in q goes away one bit per step. With check=True the
+    feasibility invariant x_i < i+1 is asserted before every step.
 
     The term budget is tested before each step (k <= max_k), so a run
     whose final, remainder-clearing emission is number max_k + 1 still
     succeeds.
     """
-    i = start_index
-    n_loc = num
-    h = two_exp
-    d = odd_den
     emitted: list[int] = []
     k = 0
-    while n_loc and k <= max_k:
-        if check and n_loc >= ((i + 1) * d) << h:
-            raise VerificationError(f"x_{i} >= {i + 1} (scaled remainder {n_loc})")
-        if h:
-            thr = (i * d) << (h - 1)
-            if n_loc >= thr:
-                emitted.append(i)
-                k += 1
-                n_loc -= thr
-            h -= 1
+    while r and k <= max_k:
+        if check and r >= (i + 1) * q:
+            raise VerificationError(f"x_{i} >= {i + 1} (remainder {r}/{q})")
+        if q & 1:
+            r <<= 1
         else:
-            n_loc <<= 1
-            t = n_loc - i * d
-            if t >= 0:
-                emitted.append(i)
-                k += 1
-                n_loc = t
+            q >>= 1
+        t = r - i * q
+        if t >= 0:
+            emitted.append(i)
+            k += 1
+            r = t
         i += 1
-    return emitted, n_loc == 0
+    return emitted, r == 0
 
 
 def greedy_representation(
-    x: Fraction, max_k: int = DEFAULT_MAX_K, *, check: bool = True
+    x: Fraction, max_k: int = DEFAULT_MAX_K
 ) -> Optional[tuple[int, ...]]:
     """Greedy expansion of x as a sum of distinct terms a/2**a.
 
     Returns the emitted indices once the remainder hits zero, or None when
     the term budget runs out first (the outcome is then unknown, not a
-    proof that no representation exists). With check=True the returned
-    list is re-verified to sum exactly to x, and the feasibility invariant
-    x_i < i+1 is asserted at every step.
+    proof that no representation exists). The walk asserts the
+    feasibility invariant x_i < i+1 at every step, and the returned list
+    is re-verified to sum exactly to x.
     """
     x = _validate_x(x)
     if max_k < 1:
         raise ValueError("max_k must be positive")
-    p, q = x.numerator, x.denominator
-    i, w = _k_zero_parts(p, q)
-    vp = w >> 1  # p * 2**(k0 - 1)
-    # split the denominator as odd * 2**h and strip common powers of two
-    h = (q & -q).bit_length() - 1
-    d = q >> h
-    tz = (vp & -vp).bit_length() - 1
-    g = tz if tz < h else h
-    vp >>= g
-    h -= g
-    emitted, terminated = _greedy_walk(i, vp, h, d, max_k, check)
+    i = k_zero(x)
+    start = x * (1 << (i - 1))
+    emitted, terminated = _greedy_walk(
+        i, start.numerator, start.denominator, max_k, True
+    )
     if not terminated:
         return None
     out = tuple(emitted)
-    # sum(out) == p/q, scaled by 2**a_k and cleared of q
-    if check and scaled_sum(out) * q != p << out[-1]:
+    # sum(out) == x, scaled by 2**a_k and cleared of its denominator
+    if scaled_sum(out) * x.denominator != x.numerator << out[-1]:
         raise VerificationError(
             f"greedy expansion of {x} failed its exactness re-check"
         )
     return out
+
+
+def _expand_n(
+    n: int, max_k: int, check: bool
+) -> tuple[list[int], Optional[Solution]]:
+    """The walk of n/2**n, which starts at index n+1 with integer
+    remainder n: (emitted, solution), the solution None for an exhausted
+    budget and re-checked exactly when check is set."""
+    emitted, terminated = _greedy_walk(n + 1, n, 1, max_k, check)
+    if not terminated:
+        return emitted, None
+    sol = Solution(n, tuple(emitted))
+    if check and not verify_solution(sol):
+        raise VerificationError(
+            f"greedy expansion of {n}/2^{n} failed its exactness re-check"
+        )
+    return emitted, sol
 
 
 def greedy_for_n(
@@ -151,23 +145,17 @@ def greedy_for_n(
 ) -> Optional[tuple[int, Solution]]:
     """Greedy expansion of n/2**n for n >= 2, as (k, Solution).
 
-    For these inputs the walk starts at index n+1 with integer remainder n,
-    so the whole run is machine-integer arithmetic, and its first step
-    always emits n+1 (2n - (n+1) = n - 1 >= 0).
+    For these inputs the whole run is machine-integer arithmetic, and its
+    first step always emits n+1 (2n - (n+1) = n - 1 >= 0). The walk
+    invariant and the exactness of the result are re-checked unless
+    check is False.
     """
     if n < 2:
         raise ValueError("greedy_for_n needs n >= 2")
     if max_k < 1:
         raise ValueError("max_k must be positive")
-    emitted, terminated = _greedy_walk(n + 1, n, 0, 1, max_k, check)
-    if not terminated:
-        return None
-    sol = Solution(n, tuple(emitted))
-    if check and not verify_solution(sol):
-        raise VerificationError(
-            f"greedy expansion of {n}/2^{n} failed its exactness re-check"
-        )
-    return len(sol.terms), sol
+    sol = _expand_n(n, max_k, check)[1]
+    return None if sol is None else (sol.k, sol)
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,34 +169,25 @@ class SweepRow:
     terminated: bool
 
 
-def _sweep_range(args: tuple[int, int, int, bool]) -> list[SweepRow]:
-    lo, hi, max_k, check = args
+def _sweep_range(args: tuple[int, int, int]) -> list[SweepRow]:
+    lo, hi, max_k = args
     rows = []
     for n in range(lo, hi):
-        emitted, terminated = _greedy_walk(n + 1, n, 0, 1, max_k, check)
-        if terminated:
-            if check and not verify_solution(Solution(n, tuple(emitted))):
-                raise VerificationError(f"sweep expansion for n={n} failed re-check")
-            rows.append(SweepRow(n, len(emitted), emitted[-1], True))
-        else:
-            rows.append(
-                SweepRow(n, len(emitted), emitted[-1] if emitted else 0, False)
-            )
+        emitted, sol = _expand_n(n, max_k, True)
+        rows.append(SweepRow(n, len(emitted), emitted[-1], sol is not None))
     return rows
 
 
 def sweep(
-    n_min: int,
-    n_max: int,
-    max_k: int = DEFAULT_MAX_K,
-    *,
-    jobs: int = 1,
-    check: bool = True,
+    n_min: int, n_max: int, max_k: int = DEFAULT_MAX_K, *, jobs: int = 1
 ) -> list[SweepRow]:
-    """Greedy stats for every n in [n_min, n_max], in n order.
+    """Greedy stats for every n in [n_min, n_max], in n order, each walk
+    checked as in greedy_for_n.
 
     Results are identical for any jobs value; parallel runs split the range
-    into contiguous chunks and merge them back in order.
+    into contiguous chunks and merge them back in order. At most
+    os.cpu_count() worker processes are started, and none when that
+    leaves one.
     """
     if n_min < 2:
         raise ValueError("sweep starts at n >= 2")
@@ -219,15 +198,16 @@ def sweep(
     if jobs < 1:
         raise ValueError("jobs must be positive")
     total = n_max - n_min + 1
-    if jobs == 1 or total < 4:
-        return _sweep_range((n_min, n_max + 1, max_k, check))
-    step = max(1, total // (jobs * 8))
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1 or total < 4:
+        return _sweep_range((n_min, n_max + 1, max_k))
+    step = max(1, total // (workers * 8))
     chunks = [
-        (lo, min(lo + step, n_max + 1), max_k, check)
+        (lo, min(lo + step, n_max + 1), max_k)
         for lo in range(n_min, n_max + 1, step)
     ]
     rows: list[SweepRow] = []
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         for part in ex.map(_sweep_range, chunks):
             rows.extend(part)
     return rows

@@ -61,7 +61,7 @@ def criterion(num: int, desc: str):
 
 @pytest.fixture(scope="module")
 def sweep_2000():
-    # check=True asserts the feasibility invariant x_i < i+1 on every step
+    # sweep asserts the feasibility invariant x_i < i+1 on every step
     return sweep(2, 2000)
 
 
@@ -192,8 +192,8 @@ def test_criterion_10_property_suites(sweep_2000):
             assert s.value < s.index + 1
             s = advance(s)
         assert s.emitted == GREEDY_41
-        # the 2000-sweep fixture ran with check=True, asserting the same
-        # invariant on every step of every n
+        # the 2000-sweep fixture asserted the same invariant on every step
+        # of every n
         assert sweep_2000[0].n == 2
         # determinism across worker counts
         base_rows = sweep(2, 300)

@@ -565,6 +565,11 @@ GOLDEN_PAYLOADS = {
     "greedy --n 41 --max-k 12 --format csv": (3, "d3830bdc845dfc41725ff4e821f26207b9266ab9585f9ea61ceeb5623166c671"),
     "greedy --x 1/32 --format json": (0, "0ed24aff7f6cb097a35d59d60a6c8a3aeb9f1bca76cab9660898c6bf3e85d9d9"),
     "greedy --x 1/32 --format csv": (0, "e404efd362ec0e8f845ccf3909341b0674517bd717a2c94032d1f676a74f0b5a"),
+    # reduced starts whose denominators keep a large power of two
+    "greedy --x 18446744073709551615/18446744073709551616 --format json": (0, "7e1cfe62ef56b46865e0908f4fa0c2d2bb1aa7207e215c412ae52e9fbe2ba81f"),
+    "greedy --x 18446744073709551615/18446744073709551616 --format csv": (0, "37cfe44ba3ebd9fd566855b9eb51fde0865944251bb67d8f4c85671fa581b197"),
+    "greedy --x 18446744073709551625/55340232221128654848 --max-k 50 --format json": (3, "95c8c66542ab19db09a791c4f295405ea2984aeb712def3084d7a40f426bbab3"),
+    "greedy --x 18446744073709551625/55340232221128654848 --max-k 50 --format csv": (3, "d3830bdc845dfc41725ff4e821f26207b9266ab9585f9ea61ceeb5623166c671"),
     "sweep 2 300 --jobs 1 --format json": (0, "c628fe7b190b81b73ac03f4cd26b85ae34b908924bc4c01b4a081fb945152baf"),
     "sweep 2 300 --jobs 1 --format csv": (0, "95f74c91ca0284259065ecd18429b30355f88b115ea7c16321e74fa25b978c5d"),
     "sweep 41 45 --max-k 5 --figures --jobs 1 --format json": (3, "b361f16269b01ac6ad7eda8639a6fbf86b8fca82cbc4feee5c275b979494d7b5"),

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyadicrep.arith import VerificationError, verify_solution
@@ -55,11 +55,20 @@ def _state_walk(x, budget):
 @given(
     st.fractions(
         min_value=Fraction(1, 4000), max_value=Fraction(2), max_denominator=4000
-    ).filter(lambda x: x < 2)
+    ).filter(lambda x: x < 2),
+    st.just(300),
 )
+# reduced starts that keep most of 2**e in their denominators, so the walk
+# halves q for about e steps before q turns odd: (2**e-1)/2**e terminates,
+# 1/3 + 3/2**e runs past a 3,000-term budget
+@example(Fraction(2**64 - 1, 2**64), DEFAULT_MAX_K)
+@example(Fraction(2**256 - 1, 2**256), DEFAULT_MAX_K)
+@example(Fraction(2**1000 - 1, 2**1000), DEFAULT_MAX_K)
+@example(Fraction(1, 3) + Fraction(3, 2**64), 3000)
+@example(Fraction(1, 3) + Fraction(3, 2**256), 3000)
+@example(Fraction(1, 3) + Fraction(3, 2**1000), 3000)
 @settings(deadline=None, max_examples=150)
-def test_walk_matches_state_recurrence(x):
-    budget = 300
+def test_walk_matches_state_recurrence(x, budget):
     fast = greedy_representation(x, budget)
     slow = _state_walk(x, budget)
     assert fast == slow
@@ -132,10 +141,10 @@ def test_advance_guards():
 def test_walk_rejects_an_infeasible_start():
     # x_3 = 4 breaks x_i < i+1; the checked walk stops before emitting
     with pytest.raises(VerificationError, match="x_3 >= 4"):
-        _greedy_walk(3, 4, 0, 1, 10, True)
-    # the same start at scale 2**2: x_3 = 16/4
+        _greedy_walk(3, 4, 1, 10, True)
+    # the same start over an even denominator: x_3 = 16/4
     with pytest.raises(VerificationError, match="x_3 >= 4"):
-        _greedy_walk(3, 16, 2, 1, 10, True)
+        _greedy_walk(3, 16, 4, 10, True)
 
 
 def test_sweep_matches_single_runs():
@@ -151,6 +160,32 @@ def test_sweep_parallel_determinism():
     base = sweep(2, 150)
     for jobs in (2, 4, 8):
         assert sweep(2, 150, jobs=jobs) == base
+
+
+@pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, []), (None, [])])
+def test_sweep_caps_workers_at_cpu_count(monkeypatch, cpus, pools):
+    # a stand-in pool records its worker count and maps in this process,
+    # so no real process is started however large jobs is
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    base = sweep(2, 60)
+    monkeypatch.setattr("dyadicrep.greedy.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("dyadicrep.greedy.os.cpu_count", lambda: cpus)
+    assert sweep(2, 60, jobs=10**6) == base
+    assert started == pools
 
 
 def test_sweep_budget_exhaustion_row():
