@@ -3,8 +3,7 @@
 A term list a_1 < ... < a_k has the value sum a_i/2**a_i. Multiplied by
 2**a_k it becomes the integer sum a_i * 2**(a_k - a_i), so every exact
 check in this package is an integer comparison against that one scaled
-sum: a solution n satisfies it against n * 2**(a_k - n), a greedy
-expansion of p/q against p * 2**a_k / q.
+sum, made in one place, :func:`sums_to`.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ __all__ = [
     "Solution",
     "VerificationError",
     "scaled_sum",
+    "sums_to",
     "verify_solution",
 ]
 
@@ -34,6 +34,15 @@ def scaled_sum(terms: Sequence[int]) -> int:
     for a in terms:
         total += a << (last - a)
     return total
+
+
+def sums_to(terms: Sequence[int], p: int, q: int = 1, e: int = 0) -> bool:
+    """Exact test of sum a/2**a == p / (q * 2**e) for strictly increasing
+    terms, q >= 1 and e >= 0: the scaled sum times q * 2**e against
+    p * 2**a_k, both divided by 2**min(e, a_k) so that neither shift
+    grows with n when e and a_k are both near n."""
+    last = terms[-1]
+    return (scaled_sum(terms) * q) << max(e - last, 0) == p << max(last - e, 0)
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -70,6 +79,5 @@ class Solution:
 
 
 def verify_solution(sol: Solution) -> bool:
-    """Exact check of n/2**n == sum a_i/2**a_i, scaled by 2**a_k:
-    n * 2**(a_k - n) == sum a_i * 2**(a_k - a_i)."""
-    return scaled_sum(sol.terms) == sol.n << (sol.terms[-1] - sol.n)
+    """Exact check of n/2**n == sum a_i/2**a_i."""
+    return sums_to(sol.terms, sol.n, e=sol.n)

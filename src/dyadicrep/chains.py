@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import VerificationError, scaled_sum
+from .arith import VerificationError, scaled_sum, sums_to
 from .greedy import DEFAULT_MAX_K, greedy_for_n
 
 __all__ = [
@@ -93,8 +93,7 @@ def three_representations(p: int, q: int) -> list[TailedRepresentation]:
         raise ValueError("progression must start at p + q >= 17")
     reps = [TailedRepresentation(pref, p, q) for pref in HALF_PREFIXES]
     for rep in reps:
-        # sum == 1/2 scaled by 2**a_k
-        if scaled_sum(rep.prefix) != 1 << (rep.prefix[-1] - 1):
+        if not sums_to(rep.prefix, 1, e=1):
             raise VerificationError(f"prefix {rep.prefix} does not sum to 1/2")
     return reps
 
@@ -218,8 +217,7 @@ def representation_count_certificate(chain: ChainResult) -> int:
                 raise VerificationError(f"step {i} digest mismatch")
             if any(b <= a for a, b in zip(step.terms, step.terms[1:])):
                 raise VerificationError(f"step {i} terms are out of order")
-            # scaled by 2**last_term; the order check keeps every shift >= 0
-            if scaled_sum(step.terms) != step.source << (step.last_term - step.source):
+            if not sums_to(step.terms, step.source, e=step.source):
                 raise VerificationError(f"step {i} does not sum to its source")
         expect = step.last_term
     return chain.depth + 1

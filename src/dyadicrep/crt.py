@@ -48,8 +48,7 @@ class CongruenceClass:
 
     def least_member_at_least(self, lo: int) -> int:
         """Smallest member of the class that is >= lo."""
-        shift = -(-(lo - self.residue) // self.modulus) if lo > self.residue else 0
-        return self.residue + shift * self.modulus
+        return self.residue - (self.residue - lo) // self.modulus * self.modulus
 
 
 def crt_pair(a: CongruenceClass, b: CongruenceClass) -> Optional[CongruenceClass]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith import Solution, VerificationError, scaled_sum, verify_solution
+from .arith import Solution, VerificationError, sums_to, verify_solution
 
 __all__ = [
     "DEFAULT_MAX_K",
@@ -115,8 +115,7 @@ def greedy_representation(
     if not terminated:
         return None
     out = tuple(emitted)
-    # sum(out) == x, scaled by 2**a_k and cleared of its denominator
-    if scaled_sum(out) * x.denominator != x.numerator << out[-1]:
+    if not sums_to(out, x.numerator, x.denominator):
         raise VerificationError(
             f"greedy expansion of {x} failed its exactness re-check"
         )

@@ -34,7 +34,6 @@ from .bounds import ak_bound_thm, product_bound_holds
 __all__ = [
     "PRUNE_RULES",
     "SearchResult",
-    "VerificationError",
     "enumerate_solutions",
     "count_solutions",
     "run_search",

@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyadicrep.arith import (
     Solution,
     VerificationError,
     scaled_sum,
+    sums_to,
     verify_solution,
 )
 
@@ -27,6 +28,53 @@ def test_scaled_sum_matches_fraction(indices):
     terms = tuple(sorted(indices))
     want = sum((Fraction(a, 2**a) for a in terms), Fraction(0))
     assert Fraction(scaled_sum(terms), 1 << terms[-1]) == want
+
+
+# a chain step: 8/2**8 expanded by greedy_for_n(8)
+CHAIN_STEP_8 = (9, 10, 12, 14, 18, 19, 21, 22, 24, 26, 29, 30, 32)
+
+
+@given(
+    st.sets(st.integers(min_value=1, max_value=300), min_size=1, max_size=40),
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=1, max_value=10**4),
+    st.integers(min_value=0, max_value=600),
+    st.integers(min_value=-1, max_value=1),
+)
+@settings(deadline=None)
+# the four call-site shapes: verify_solution (n/2**n), greedy_representation
+# (p/q cleared of its denominator), three_representations (1/2) and
+# representation_count_certificate (source/2**source)
+@example({5, 6}, 4, 1, 4, 0)
+@example({5, 7}, 4, 1, 4, 1)
+@example({4, 6, 8}, 3, 8, 0, 0)
+@example({4, 6, 8}, 3, 7, 0, -1)
+@example({3, 6, 8}, 1, 1, 1, 0)
+@example({3, 6, 9}, 1, 1, 1, 1)
+@example(set(CHAIN_STEP_8), 8, 1, 8, 0)
+@example(set(CHAIN_STEP_8[:-1]), 8, 1, 8, -1)
+# e above a_k with a non-dyadic q
+@example({1, 2}, 8, 3, 3, 1)
+def test_sums_to_matches_fraction(indices, p, q, e, delta):
+    terms = tuple(sorted(indices))
+    value = sum((Fraction(a, 2**a) for a in terms), Fraction(0))
+    assert sums_to(terms, p, q, e) == (value == Fraction(p, q << e))
+    # the same value written as p/(q * 2**e) with this q and e, then its
+    # neighbours p - 1 and p + 1
+    j = value.denominator.bit_length() - 1
+    q_exact = q << max(j - e, 0)
+    p_exact = value.numerator * q << max(e - j, 0)
+    assert Fraction(p_exact, q_exact << e) == value
+    assert sums_to(terms, p_exact + delta, q_exact, e) == (delta == 0)
+
+
+def test_sums_to_with_e_and_a_k_near_a_huge_n():
+    # A/2**A + (A+1)/2**(A+1) == (3A+1)/2**(A+1); the shifts must cancel the
+    # common 2**min(e, a_k), since 2**A alone could not be materialised
+    big = 10**15
+    assert sums_to((big, big + 1), 3 * big + 1, e=big + 1)
+    assert not sums_to((big, big + 1), 3 * big + 2, e=big + 1)
+    assert not sums_to((big, big + 1), 3 * big + 1, e=big)
 
 
 def test_solution_validation():

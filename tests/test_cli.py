@@ -657,6 +657,23 @@ def test_library_imports_only_the_standard_library():
     assert proc.stdout == "[]\n"
 
 
+def test_package_exports_each_name_once():
+    import importlib
+    import pkgutil
+
+    names = ("arith", "bounds", "chains", "congruence", "crt", "greedy", "search")
+    library = {info.name for info in pkgutil.iter_modules(dyadicrep.__path__)}
+    assert library - {"cli"} == set(names)
+    modules = [importlib.import_module(f"dyadicrep.{name}") for name in names]
+    union = list(dict.fromkeys(name for m in modules for name in m.__all__))
+    assert dyadicrep.__all__ == union + ["__version__"]
+    assert len(set(dyadicrep.__all__)) == len(dyadicrep.__all__)
+    for module in modules:
+        for export in module.__all__:
+            assert getattr(dyadicrep, export) is getattr(module, export)
+    assert isinstance(dyadicrep.__version__, str)
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "dyadicrep.cli", "greedy", "--n", "5", "--format", "csv"],

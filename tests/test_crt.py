@@ -37,6 +37,13 @@ def test_least_member_at_least():
     assert c.least_member_at_least(4) == 13
     assert c.least_member_at_least(24) == 33
     assert CongruenceClass(0, 4).least_member_at_least(2) == 4
+    # lo below the residue: the least member may be negative
+    assert c.least_member_at_least(-10) == -7
+    for cls in (c, CongruenceClass(0, 4), CongruenceClass(6, 7), CongruenceClass(0, 1)):
+        for lo in range(-30, 30):
+            members = range(lo, lo + cls.modulus)
+            want = next(x for x in members if x % cls.modulus == cls.residue)
+            assert cls.least_member_at_least(lo) == want
 
 
 def test_crt_pair_examples():
