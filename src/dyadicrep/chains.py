@@ -10,7 +10,6 @@ summing to 1/2 wearing the same arithmetic-progression tail.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -135,6 +134,8 @@ _KEEP_TERMS_DEPTH = 3
 def _digest(terms: Sequence[int]) -> str:
     """sha256 of the comma-joined terms, fed a chunk at a time so that a
     million-term step never holds all its decimal strings at once."""
+    import hashlib  # here, not at the top: only chain steps need it
+
     h = hashlib.sha256()
     for i in range(0, len(terms), _DIGEST_CHUNK):
         chunk = ",".join(map(str, terms[i : i + _DIGEST_CHUNK]))

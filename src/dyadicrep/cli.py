@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -252,7 +253,12 @@ def _add_format(p: argparse.ArgumentParser, default: str) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every call,
+    so callers must not mutate it. Sharing is safe because parse_args
+    returns a fresh namespace and each handler looks up the library
+    functions it calls as module globals when it runs."""
     parser = argparse.ArgumentParser(
         prog="dyadicrep",
         description="Exact computations around n/2^n = sum of a_i/2^a_i.",

@@ -19,7 +19,6 @@ happens in the loop. For x = n/2**n the walk starts at q = 1.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -205,6 +204,10 @@ def sweep(
         (lo, min(lo + step, n_max + 1), max_k)
         for lo in range(n_min, n_max + 1, step)
     ]
+    # imported here: the pool pulls in multiprocessing, which no other
+    # path needs, so one-shot CLI calls do not pay for it at start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     rows: list[SweepRow] = []
     with ProcessPoolExecutor(max_workers=workers) as ex:
         for part in ex.map(_sweep_range, chunks):

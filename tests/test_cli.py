@@ -597,6 +597,42 @@ def test_payload_bytes_are_pinned(capsys, command):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_PAYLOADS[command]
 
 
+# --- one parser per process ----------------------------------------------------
+
+# pairs of in-process calls on the shared parser; each pair changes the
+# format, a flag or the exit code, so state left behind by one call shows
+# in the next one's bytes
+REUSE_SEQUENCE = [
+    ["table1", "--format", "json"],
+    ["table1"],
+    ["sweep", "2", "30", "--figures"],
+    ["sweep", "2", "30", "--jobs", "1"],
+    ["enumerate", "1"],
+    ["enumerate", "5"],
+    ["greedy", "--x", "3/8"],
+    ["greedy", "--n", "41"],
+]
+
+
+def fresh_child_payload(argv):
+    """(exit code, sha256 of stdout) of argv run in a new interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "dyadicrep.cli", *argv],
+        capture_output=True,
+        env=child_env(),
+    )
+    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
+
+
+def test_parser_is_built_once_and_reused_without_leaks(capsys):
+    assert build_parser() is build_parser()
+    for argv in REUSE_SEQUENCE:
+        code, out, _ = run_cli(capsys, *argv)
+        got = (code, hashlib.sha256(out.encode()).hexdigest())
+        want = GOLDEN_PAYLOADS.get(" ".join(argv)) or fresh_child_payload(argv)
+        assert got == want, argv
+
+
 # --- installed entry point ----------------------------------------------------
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -655,6 +691,29 @@ def test_library_imports_only_the_standard_library():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_startup_defers_the_pool_and_hashlib():
+    # a CLI call that starts no workers and digests no chain must not load
+    # multiprocessing or hashlib; chain is the one command that loads hashlib
+    script = (
+        "import sys\n"
+        "from dyadicrep.cli import build_parser, main\n"
+        "build_parser()\n"
+        "deferred = ('concurrent.futures', 'multiprocessing', 'hashlib')\n"
+        "print(sorted(m for m in deferred if m in sys.modules))\n"
+        "assert main(['chain', '8', '1', '--format', 'json']) == 0\n"
+        "print('hashlib' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stdout.splitlines()[-1] == "True"
 
 
 def test_package_exports_each_name_once():

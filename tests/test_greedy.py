@@ -182,7 +182,7 @@ def test_sweep_caps_workers_at_cpu_count(monkeypatch, cpus, pools):
             return map(fn, items)
 
     base = sweep(2, 60)
-    monkeypatch.setattr("dyadicrep.greedy.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr("dyadicrep.greedy.os.cpu_count", lambda: cpus)
     assert sweep(2, 60, jobs=10**6) == base
     assert started == pools
