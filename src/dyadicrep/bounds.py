@@ -2,8 +2,9 @@
 
 The logarithmic bounds are integer ceilings computed by bit-length tests
 (least m with 2**m >= k**(2k)), never by floating point, so they are exact
-for every k. Oversized comparisons such as a_k**(k-1) * 2**a_1 >= 2**a_k are
-decided through bit lengths instead of materializing 2**a_k.
+for every k. Oversized comparisons such as
+2**(a_k - a_i) <= a_{i+2} * ... * a_k * a_k are decided through bit lengths
+instead of materializing the power of two.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .arith import Solution
 __all__ = [
     "ak_bound_cor",
     "ak_bound_thm",
-    "corollary_bound_holds",
     "max_n",
     "product_bound_holds",
     "trivial_solution",
@@ -74,10 +74,3 @@ def product_bound_holds(sol: Solution) -> bool:
         if rhs.bit_length() < ak - terms[i] + 1:
             return False
     return True
-
-
-def corollary_bound_holds(sol: Solution) -> bool:
-    """Check a_k**(k-1) * 2**a_1 >= 2**a_k without building 2**a_k."""
-    ak = sol.terms[-1]
-    p = sol.terms[-1] ** (len(sol.terms) - 1)
-    return p.bit_length() >= ak - sol.terms[0] + 1

@@ -3,98 +3,22 @@
 Expanding the last (smallest-valued) term of a representation with the
 greedy walk yields a new, longer representation of the same number; doing
 that repeatedly certifies a growing count of distinct representations.
-A second construction gives any x = 1/2 + (eventually periodic tail) three
-structurally different representations at once: three distinct prefixes
-summing to 1/2 wearing the same arithmetic-progression tail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import VerificationError, scaled_sum, sums_to
+from .arith import VerificationError, sums_to
 from .greedy import DEFAULT_MAX_K, greedy_for_n
 
 __all__ = [
     "ChainResult",
     "ChainStep",
-    "HALF_PREFIXES",
-    "TailedRepresentation",
     "expand_chain",
     "representation_count_certificate",
-    "tail_sum",
-    "three_representations",
 ]
-
-
-def _term_list_value(terms: tuple[int, ...]) -> Fraction:
-    """Exact value of sum(a/2**a for a in terms); 0 for an empty list."""
-    if not terms:
-        return Fraction(0)
-    return Fraction(scaled_sum(terms), 1 << terms[-1])
-
-
-def tail_sum(p: int, q: int) -> Fraction:
-    """Exact value of sum_{i>=1} (p*i + q)/2**(p*i + q):
-    ((q+p)*2**p - q) / (2**q * (2**p - 1)**2)."""
-    if p < 1:
-        raise ValueError("progression step p must be positive")
-    if q < 0:
-        raise ValueError("progression offset q must be non-negative")
-    tp = 1 << p
-    return Fraction((q + p) * tp - q, (1 << q) * (tp - 1) ** 2)
-
-
-# The three prefixes over which 1/2 splits into 3, 7 and 3 terms; each is a
-# complete list, so any strictly larger progression extends all three into
-# representations of the same number.
-HALF_PREFIXES: tuple[tuple[int, ...], ...] = (
-    (3, 6, 8),
-    (4, 5, 6),
-    (4, 5, 7, 8, 11, 13, 14),
-)
-
-
-@dataclass(frozen=True, slots=True)
-class TailedRepresentation:
-    """A term list: finite prefix followed by the infinite progression
-    p*i + q, i >= 1. Its exact value is sum(prefix terms) + tail_sum(p, q)."""
-
-    prefix: tuple[int, ...]
-    p: int
-    q: int
-
-    def value(self) -> Fraction:
-        return _term_list_value(self.prefix) + tail_sum(self.p, self.q)
-
-    def terms(self, count: int) -> tuple[int, ...]:
-        """The prefix plus the first `count` progression terms."""
-        return self.prefix + tuple(
-            self.p * i + self.q for i in range(1, count + 1)
-        )
-
-    def partial_value(self, count: int) -> Fraction:
-        return _term_list_value(self.terms(count))
-
-
-def three_representations(p: int, q: int) -> list[TailedRepresentation]:
-    """Three distinct representations of 1/2 + tail_sum(p, q).
-
-    Requires p + q >= 17 so the progression starts strictly above every
-    prefix element (the largest is 14; the proof behind the construction
-    asks for a start past 16, which is the stricter line enforced here).
-    """
-    if p < 1 or q < 0:
-        raise ValueError("need p >= 1 and q >= 0")
-    if p + q < 17:
-        raise ValueError("progression must start at p + q >= 17")
-    reps = [TailedRepresentation(pref, p, q) for pref in HALF_PREFIXES]
-    for rep in reps:
-        if not sums_to(rep.prefix, 1, e=1):
-            raise VerificationError(f"prefix {rep.prefix} does not sum to 1/2")
-    return reps
 
 
 @dataclass(frozen=True, slots=True)

@@ -27,7 +27,6 @@ from .congruence import ProgressionRow, congruence_holds
 __all__ = [
     "CongruenceClass",
     "certify_multiplicity",
-    "combine_rows",
     "crt_pair",
     "scan_subsets",
 ]
@@ -66,23 +65,6 @@ def crt_pair(a: CongruenceClass, b: CongruenceClass) -> Optional[CongruenceClass
     return CongruenceClass((a.residue + a.modulus * t) % l, l)
 
 
-def _row_class(row: ProgressionRow) -> CongruenceClass:
-    return CongruenceClass(row.k0 % row.r, row.r)
-
-
-def combine_rows(rows: Sequence[ProgressionRow]) -> Optional[CongruenceClass]:
-    """Fold crt_pair over the classes (k0 mod r) of the given rows."""
-    if not rows:
-        raise ValueError("combine_rows needs at least one row")
-    acc = _row_class(rows[0])
-    for row in rows[1:]:
-        nxt = crt_pair(acc, _row_class(row))
-        if nxt is None:
-            return None
-        acc = nxt
-    return acc
-
-
 def scan_subsets(
     rows: Sequence[ProgressionRow], m: int
 ) -> list[tuple[tuple[int, ...], CongruenceClass]]:
@@ -98,7 +80,7 @@ def scan_subsets(
     """
     if not 1 <= m <= len(rows):
         raise ValueError(f"subset size must be in 1..{len(rows)}")
-    classes = [_row_class(row) for row in rows]
+    classes = [CongruenceClass(row.k0 % row.r, row.r) for row in rows]
     out = []
 
     def extend(start: int, us: tuple[int, ...], acc: CongruenceClass) -> None:

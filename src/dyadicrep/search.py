@@ -35,7 +35,6 @@ __all__ = [
     "PRUNE_RULES",
     "SearchResult",
     "enumerate_solutions",
-    "count_solutions",
     "run_search",
 ]
 
@@ -46,7 +45,6 @@ _PROGRESS_EVERY = 1 << 20
 
 @dataclass
 class SearchResult:
-    k: int
     solutions: list[Solution]
     prune_counters: dict[str, int]
     nodes: int
@@ -137,13 +135,9 @@ def run_search(
         solutions.append(sol)
     if progress:
         progress(nodes, len(solutions))
-    return SearchResult(k, solutions, dict(zip(PRUNE_RULES, counters)), nodes)
+    return SearchResult(solutions, dict(zip(PRUNE_RULES, counters)), nodes)
 
 
 def enumerate_solutions(k: int) -> list[Solution]:
     """All solutions with exactly k terms, sorted by (n, terms)."""
     return run_search(k).solutions
-
-
-def count_solutions(k: int) -> int:
-    return len(enumerate_solutions(k))

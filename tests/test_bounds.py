@@ -6,7 +6,6 @@ from dyadicrep.bounds import (
     _ceil_2k_log2_k,
     ak_bound_cor,
     ak_bound_thm,
-    corollary_bound_holds,
     max_n,
     product_bound_holds,
     trivial_solution,
@@ -88,12 +87,19 @@ def test_forced_prefix():
             assert sol.terms[:j] == tuple(range(sol.n + 1, sol.n + 1 + j))
 
 
+def _corollary_bound_holds(sol: Solution) -> bool:
+    """The paper's corollary a_k**(k-1) * 2**a_1 >= 2**a_k, decided by bit
+    length without building 2**a_k."""
+    ak = sol.terms[-1]
+    return (ak ** (len(sol.terms) - 1)).bit_length() >= ak - sol.terms[0] + 1
+
+
 def test_product_and_corollary_bounds_on_solutions():
     for sols in SMALL_K.values():
         for n, terms in sols:
             sol = Solution(n, terms)
             assert product_bound_holds(sol)
-            assert corollary_bound_holds(sol)
+            assert _corollary_bound_holds(sol)
 
 
 def test_product_bound_rejects_bad_divisibility():
@@ -103,4 +109,4 @@ def test_product_bound_rejects_bad_divisibility():
 
 def test_corollary_bound_rejects_oversized_gap():
     # 64**1 * 2**5 < 2**64, so the last term is far too large
-    assert not corollary_bound_holds(Solution(1, (5, 64)))
+    assert not _corollary_bound_holds(Solution(1, (5, 64)))

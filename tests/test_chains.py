@@ -4,23 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from dyadicrep.arith import VerificationError
+from dyadicrep.arith import VerificationError, sums_to
 from dyadicrep.chains import (
     _DIGEST_CHUNK,
-    HALF_PREFIXES,
     ChainResult,
-    TailedRepresentation,
     _digest,
     expand_chain,
     representation_count_certificate,
-    tail_sum,
-    three_representations,
 )
 from known_solutions import CHAIN_8
+from oracles import HALF_PREFIXES, tail_sum, tailed_terms
 
 
-def _frac_tail_partial(p, q, count):
-    return sum(Fraction(p * i + q, 1 << (p * i + q)) for i in range(1, count + 1))
+def _frac_value(terms):
+    return sum((Fraction(a, 1 << a) for a in terms), Fraction(0))
 
 
 def test_tail_sum_spot_values():
@@ -32,66 +29,27 @@ def test_tail_sum_spot_values():
 @pytest.mark.parametrize("p,q,count", [(1, 0, 40), (3, 14, 25), (7, 10, 12), (2, 5, 30)])
 def test_tail_sum_splitting_identity(p, q, count):
     # chopping off the first `count` terms leaves the shifted tail exactly
-    partial = _frac_tail_partial(p, q, count)
+    partial = _frac_value(tailed_terms((), p, q, count))
     assert tail_sum(p, q) - partial == tail_sum(p, q + p * count)
     assert tail_sum(p, q + p * count) > 0
 
 
-def test_tail_sum_domain():
-    with pytest.raises(ValueError):
-        tail_sum(0, 5)
-    with pytest.raises(ValueError):
-        tail_sum(1, -1)
-
-
 def test_three_representations_structure():
-    reps = three_representations(3, 14)
-    assert tuple(r.prefix for r in reps) == HALF_PREFIXES
-    vals = {r.value() for r in reps}
-    assert vals == {Fraction(1, 2) + tail_sum(3, 14)}
-    for rep in reps:
-        terms = rep.terms(12)
-        assert rep.terms(0) == rep.prefix
-        assert rep.partial_value(0) == Fraction(1, 2)
+    for prefix in HALF_PREFIXES:
+        assert sums_to(prefix, 1, e=1)
+        assert _frac_value(prefix) == Fraction(1, 2)
+        terms = tailed_terms(prefix, 3, 14, 12)
         assert all(a < b for a, b in zip(terms, terms[1:]))
     # the term lists are pairwise distinct even though the values agree
-    assert len({reps[i].terms(5) for i in range(3)}) == 3
-    # prefixes all sum to 1/2, so partial values agree at every depth
-    assert reps[0].partial_value(9) == reps[1].partial_value(9) == reps[2].partial_value(9)
+    assert len({tailed_terms(prefix, 3, 14, 5) for prefix in HALF_PREFIXES}) == 3
 
 
 def test_three_representations_converge_below_2_pow_200():
-    for rep in three_representations(3, 14):
-        gap = rep.value() - rep.partial_value(80)
+    for prefix in HALF_PREFIXES:
+        partial = _frac_value(tailed_terms(prefix, 3, 14, 80))
+        gap = Fraction(1, 2) + tail_sum(3, 14) - partial
         assert gap == tail_sum(3, 14 + 3 * 80)
         assert 0 < gap < Fraction(1, 1 << 200)
-
-
-def test_three_representations_rechecks_each_prefix(monkeypatch):
-    # (3, 6, 9) sums to 3/8 + 6/64 + 9/512, not 1/2
-    monkeypatch.setattr(
-        "dyadicrep.chains.HALF_PREFIXES", HALF_PREFIXES[:2] + ((3, 6, 9),)
-    )
-    with pytest.raises(VerificationError, match="does not sum to 1/2"):
-        three_representations(3, 14)
-
-
-def test_tailed_representation_empty_prefix():
-    # an empty term list sums to 0, so the value is the tail alone
-    rep = TailedRepresentation((), 3, 14)
-    assert rep.value() == tail_sum(3, 14)
-    assert rep.partial_value(0) == 0
-    assert rep.partial_value(2) == Fraction(17, 2**17) + Fraction(20, 2**20)
-
-
-def test_three_representations_domain():
-    with pytest.raises(ValueError):
-        three_representations(3, 13)  # starts at 16: too low
-    with pytest.raises(ValueError):
-        three_representations(0, 20)
-    with pytest.raises(ValueError):
-        three_representations(3, -1)
-    assert len(three_representations(1, 16)) == 3  # boundary p + q = 17
 
 
 def test_expand_chain_depth_five_golden():
