@@ -8,8 +8,7 @@ sum, made in one place, :func:`sums_to`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "Solution",
@@ -45,28 +44,34 @@ def sums_to(terms: Sequence[int], p: int, q: int = 1, e: int = 0) -> bool:
     return (scaled_sum(terms) * q) << max(e - last, 0) == p << max(last - e, 0)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Solution:
+class _SolutionFields(NamedTuple):
+    n: int
+    terms: tuple[int, ...]
+
+
+class Solution(_SolutionFields):
     """A pair (n, a_1 < ... < a_k) proposed for n/2**n == sum a_i/2**a_i.
 
     Construction enforces the shape constraints every solution provably
     satisfies (k >= 2, strictly increasing terms, a_1 >= n+1); it does not
-    check the sum itself, which is :func:`verify_solution`'s job.
+    check the sum itself, which is :func:`verify_solution`'s job. Being a
+    tuple (n, terms), solutions sort by n, then by terms. Build them with
+    the constructor only: _replace and _make skip these checks.
     """
 
-    n: int
-    terms: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if self.n < 1:
+    def __new__(cls, n: int, terms: Sequence[int]) -> Solution:
+        terms = tuple(terms)
+        if n < 1:
             raise ValueError("n must be a positive integer")
-        if len(self.terms) < 2:
+        if len(terms) < 2:
             raise ValueError("a solution needs at least two terms")
-        if any(b <= a for a, b in zip(self.terms, self.terms[1:])):
+        if any(b <= a for a, b in zip(terms, terms[1:])):
             raise ValueError("terms must be strictly increasing")
-        if self.terms[0] < self.n + 1:
+        if terms[0] < n + 1:
             raise ValueError("the first term must be at least n+1")
+        return super().__new__(cls, n, terms)
 
     @property
     def k(self) -> int:

@@ -7,8 +7,7 @@ that repeatedly certifies a growing count of distinct representations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arith import VerificationError, sums_to
 from .greedy import DEFAULT_MAX_K, greedy_for_n
@@ -21,8 +20,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     """One expansion step: the term a/2**a with a == source expanded into a
     k-term greedy representation running from first_term to last_term.
     Full terms are kept only for shallow steps; the digest (sha256 of the
@@ -37,8 +35,7 @@ class ChainStep:
     terms: Optional[tuple[int, ...]] = None
 
 
-@dataclass
-class ChainResult:
+class ChainResult(NamedTuple):
     start: int
     steps: list[ChainStep]
     exhausted: bool  # True when the budget stopped the chain early

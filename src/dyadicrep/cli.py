@@ -11,7 +11,9 @@ Exit codes: 0 success; 2 usage or validation error; 3 a term budget ran
 out or a parameter is outside the supported range; 4 a self-check failed
 on something about to be emitted (exact identity, modular identity, or
 the empirical window k+n <= a_k <= 2(k+n), whose violation would be a
-genuine discovery and is reported loudly).
+genuine discovery and is reported loudly); 141 the reader closed stdout
+before the whole payload was written, as `| head` does (128 + SIGPIPE,
+the status a shell shows for a writer killed by a closed pipe).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .arith import VerificationError
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_VERIFY = 4
+EXIT_PIPE = 141
 
 
 def _cell(value: object) -> object:
@@ -97,6 +99,8 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
         got = greedy_for_n(args.n, args.max_k)
         terms = got[1].terms if got else None
     else:
+        from fractions import Fraction  # only --x needs it; see greedy._validate_x
+
         try:
             x = Fraction(args.x)
         except ZeroDivisionError:
@@ -346,7 +350,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # exit does not raise again (the recipe in the signal module docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -27,10 +27,9 @@ verified by the modular identities 3*2**(k0-1) + 3u + 1 == 0 and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from math import gcd, isqrt, prod
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arith import Solution, VerificationError
 
@@ -269,8 +268,7 @@ def _pohlig_hellman(
     return e
 
 
-@dataclass(frozen=True, slots=True)
-class ProgressionRow:
+class ProgressionRow(NamedTuple):
     """One table row: every k with k == k0 (mod r) solves the congruence
     for this u, and r is the multiplicative order of 2 mod 2**(u+3)-3."""
 

@@ -17,9 +17,8 @@ the pruned search returns exactly what checking every subset would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arith import VerificationError
 from .congruence import ProgressionRow, congruence_holds
@@ -32,18 +31,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class CongruenceClass:
-    """The residue class residue + modulus * Z, 0 <= residue < modulus."""
-
+class _ClassFields(NamedTuple):
     residue: int
     modulus: int
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
+
+class CongruenceClass(_ClassFields):
+    """The residue class residue + modulus * Z, 0 <= residue < modulus.
+    Build it with the constructor only: _replace and _make skip the
+    checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, residue: int, modulus: int) -> CongruenceClass:
+        if modulus < 1:
             raise ValueError("modulus must be positive")
-        if not 0 <= self.residue < self.modulus:
+        if not 0 <= residue < modulus:
             raise ValueError("residue must be reduced mod modulus")
+        return super().__new__(cls, residue, modulus)
 
     def least_member_at_least(self, lo: int) -> int:
         """Smallest member of the class that is >= lo."""

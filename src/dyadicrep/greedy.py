@@ -19,11 +19,12 @@ happens in the loop. For x = n/2**n the walk starts at q = 1.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .arith import Solution, VerificationError, sums_to, verify_solution
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "DEFAULT_MAX_K",
@@ -36,8 +37,14 @@ __all__ = [
 
 DEFAULT_MAX_K = 1 << 20
 
+# sweeps ending below this n run in-process: on 2 cores a second worker
+# first paid for starting the pool near n_max = 200
+_POOL_MIN_N_MAX = 200
+
 
 def _validate_x(x: Fraction) -> Fraction:
+    from fractions import Fraction  # here: no other path needs it at start-up
+
     x = Fraction(x)
     if not 0 < x < 2:
         raise ValueError("greedy expansion needs 0 < x < 2")
@@ -156,8 +163,7 @@ def greedy_for_n(
     return None if sol is None else (sol.k, sol)
 
 
-@dataclass(frozen=True, slots=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """Per-n outcome of a greedy sweep. For an exhausted budget, k and
     last_term describe the partial walk and terminated is False."""
 
@@ -185,7 +191,8 @@ def sweep(
     Results are identical for any jobs value; parallel runs split the range
     into contiguous chunks and merge them back in order. At most
     os.cpu_count() worker processes are started, and none when that
-    leaves one.
+    leaves one or when n_max < 200, where the pool costs more than it
+    saves.
     """
     if n_min < 2:
         raise ValueError("sweep starts at n >= 2")
@@ -197,7 +204,7 @@ def sweep(
         raise ValueError("jobs must be positive")
     total = n_max - n_min + 1
     workers = min(jobs, os.cpu_count() or 1)
-    if workers == 1 or total < 4:
+    if workers == 1 or n_max < _POOL_MIN_N_MAX:
         return _sweep_range((n_min, n_max + 1, max_k))
     step = max(1, total // (workers * 8))
     chunks = [

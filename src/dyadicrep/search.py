@@ -26,7 +26,7 @@ a_k <= ak_bound_thm(n, k); a failure raises VerificationError.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import Solution, VerificationError, verify_solution
 from .bounds import ak_bound_thm, product_bound_holds
@@ -43,8 +43,7 @@ PRUNE_RULES = ("interval_empty", "run_too_short", "leaf_miss")
 _PROGRESS_EVERY = 1 << 20
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     solutions: list[Solution]
     prune_counters: dict[str, int]
     nodes: int

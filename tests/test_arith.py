@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -114,3 +115,38 @@ def test_verification_error_is_one_class_everywhere():
 
     assert dyadicrep.VerificationError is VerificationError
     assert dyadicrep.search.VerificationError is VerificationError
+
+
+def test_records_are_immutable_picklable_tuples():
+    from dyadicrep.chains import expand_chain
+    from dyadicrep.congruence import table_row
+    from dyadicrep.crt import CongruenceClass
+    from dyadicrep.greedy import sweep
+    from dyadicrep.search import run_search
+
+    chain = expand_chain(8, 1)
+    rows = sweep(2, 20)
+    fields = [
+        (Solution(4, (5, 6)), "n"),
+        (chain.steps[0], "digest"),
+        (chain, "steps"),
+        (table_row(1), "k0"),
+        (CongruenceClass(3, 7), "residue"),
+        (rows[0], "k"),
+        (run_search(2), "solutions"),
+    ]
+    for record, field in fields:
+        value = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        assert getattr(record, field) is value
+    # the sweep pool sends SweepRows between processes; unpickling a
+    # Solution runs its checks again
+    sol = Solution(11, [12, 13, 14])
+    assert pickle.loads(pickle.dumps(sol)) == sol
+    assert type(pickle.loads(pickle.dumps(sol))) is Solution
+    assert pickle.loads(pickle.dumps(rows)) == rows
+    # solutions sort by (n, terms), as tuples do
+    sols = [Solution(5, (7, 8, 9)), Solution(4, (6, 7, 8)), Solution(5, (6, 9))]
+    assert sorted(sols) == [sols[1], sols[2], sols[0]]
+    assert sorted(sols) == sorted(sols, key=lambda s: (s.n, s.terms))

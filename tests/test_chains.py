@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -108,7 +107,7 @@ def test_expand_chain_starts_at_index_three():
 
 def _tampered(chain, i, **changes):
     steps = list(chain.steps)
-    steps[i] = replace(steps[i], **changes)
+    steps[i] = steps[i]._replace(**changes)
     return ChainResult(chain.start, steps, chain.exhausted)
 
 

@@ -6,7 +6,6 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
@@ -368,7 +367,7 @@ def test_chain_json_with_digests(capsys):
 def test_chain_tampered_digest_exits_4(capsys, monkeypatch):
     def tampered(*args):
         chain = expand_chain(*args)
-        steps = [replace(s, digest="0" * 64) for s in chain.steps]
+        steps = [s._replace(digest="0" * 64) for s in chain.steps]
         return ChainResult(chain.start, steps, chain.exhausted)
 
     monkeypatch.setattr("dyadicrep.cli.expand_chain", tampered)
@@ -695,15 +694,19 @@ def test_library_imports_only_the_standard_library():
 
 def test_startup_defers_the_pool_and_hashlib():
     # a CLI call that starts no workers and digests no chain must not load
-    # multiprocessing or hashlib; chain is the one command that loads hashlib
+    # multiprocessing or hashlib; chain is the one command that loads hashlib.
+    # The records are NamedTuples, so nothing loads dataclasses (or inspect),
+    # and only greedy --x loads fractions (and decimal)
     script = (
         "import sys\n"
         "from dyadicrep.cli import build_parser, main\n"
         "build_parser()\n"
-        "deferred = ('concurrent.futures', 'multiprocessing', 'hashlib')\n"
+        "deferred = ('concurrent.futures', 'multiprocessing', 'hashlib',\n"
+        "            'dataclasses', 'inspect', 'fractions', 'decimal')\n"
         "print(sorted(m for m in deferred if m in sys.modules))\n"
         "assert main(['chain', '8', '1', '--format', 'json']) == 0\n"
-        "print('hashlib' in sys.modules)\n"
+        "assert main(['greedy', '--x', '1/3', '--max-k', '60']) == 3\n"
+        "print('hashlib' in sys.modules, 'fractions' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script],
@@ -713,7 +716,23 @@ def test_startup_defers_the_pool_and_hashlib():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "[]"
-    assert proc.stdout.splitlines()[-1] == "True"
+    assert proc.stdout.splitlines()[-1] == "True True"
+
+
+def test_closed_stdout_exits_quietly():
+    # the greedy --n 3113 payload (about 140 kB) overfills the pipe, so the
+    # CLI is still writing when the reader goes away after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dyadicrep.cli", "greedy", "--n", "3113"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 141
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_package_exports_each_name_once():

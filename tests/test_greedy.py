@@ -157,15 +157,16 @@ def test_sweep_matches_single_runs():
 
 
 def test_sweep_parallel_determinism():
-    base = sweep(2, 150)
+    # the range ends past n = 200, so jobs > 1 starts a real pool
+    base = sweep(150, 230)
     for jobs in (2, 4, 8):
-        assert sweep(2, 150, jobs=jobs) == base
+        assert sweep(150, 230, jobs=jobs) == base
 
 
-@pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, []), (None, [])])
-def test_sweep_caps_workers_at_cpu_count(monkeypatch, cpus, pools):
-    # a stand-in pool records its worker count and maps in this process,
-    # so no real process is started however large jobs is
+def record_pools(monkeypatch, cpus):
+    """Replace the process pool by a stand-in that records its worker count
+    and maps in this process, so no real process is started however large
+    jobs is; returns the list of recorded counts."""
     started = []
 
     class RecordingPool:
@@ -181,11 +182,28 @@ def test_sweep_caps_workers_at_cpu_count(monkeypatch, cpus, pools):
         def map(self, fn, items):
             return map(fn, items)
 
-    base = sweep(2, 60)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr("dyadicrep.greedy.os.cpu_count", lambda: cpus)
-    assert sweep(2, 60, jobs=10**6) == base
+    return started
+
+
+@pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, []), (None, [])])
+def test_sweep_caps_workers_at_cpu_count(monkeypatch, cpus, pools):
+    base = sweep(190, 210)
+    started = record_pools(monkeypatch, cpus)
+    assert sweep(190, 210, jobs=10**6) == base
     assert started == pools
+
+
+def test_small_sweep_starts_no_pool(monkeypatch):
+    # below n_max = 200 the pool costs more than a second worker saves
+    base = sweep(190, 199)
+    started = record_pools(monkeypatch, 3)
+    assert sweep(190, 199, jobs=10**6) == base
+    assert sweep(199, 199, jobs=2) == base[-1:]
+    assert started == []
+    assert sweep(200, 200, jobs=2) == sweep(200, 200)
+    assert started == [2]
 
 
 def test_sweep_budget_exhaustion_row():
