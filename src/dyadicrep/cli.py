@@ -66,8 +66,21 @@ def _emit(
         w.writerow([_cell(rec[key]) for _, key in columns])
 
 
+def _to_devnull(stream) -> None:
+    """Point stream's descriptor at devnull once its reader is gone, so that
+    neither a later write nor the flush at exit raises again (the recipe in
+    the signal module docs)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def _note(msg: str) -> None:
-    print(f"# {msg}", file=sys.stderr, flush=True)
+    try:
+        print(f"# {msg}", file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        # a closed stderr drops the notes; stdout and the exit code stand
+        _to_devnull(sys.stderr)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -354,11 +367,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:
-        # the reader is gone; point stdout at devnull so that the flush at
-        # exit does not raise again (the recipe in the signal module docs)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # only stdout gets here: _note absorbs a closed stderr
+        _to_devnull(sys.stdout)
         return EXIT_PIPE
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

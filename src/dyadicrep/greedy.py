@@ -37,9 +37,12 @@ __all__ = [
 
 DEFAULT_MAX_K = 1 << 20
 
-# sweeps ending below this n run in-process: on 2 cores a second worker
-# first paid for starting the pool near n_max = 200
+# sweeps ending below n = 200, or spanning fewer than 64 values of n, run
+# in-process: on 2 cores a second worker first paid for starting the pool
+# near `sweep 2 200`, and on narrow ranges starting anywhere from n = 200
+# to 3000 once they held between 48 and 64 walks
 _POOL_MIN_N_MAX = 200
+_POOL_MIN_SPAN = 64
 
 
 def _validate_x(x: Fraction) -> Fraction:
@@ -191,8 +194,8 @@ def sweep(
     Results are identical for any jobs value; parallel runs split the range
     into contiguous chunks and merge them back in order. At most
     os.cpu_count() worker processes are started, and none when that
-    leaves one or when n_max < 200, where the pool costs more than it
-    saves.
+    leaves one, when n_max < 200 or when the range holds fewer than 64
+    values of n, where the pool costs more than it saves.
     """
     if n_min < 2:
         raise ValueError("sweep starts at n >= 2")
@@ -204,7 +207,7 @@ def sweep(
         raise ValueError("jobs must be positive")
     total = n_max - n_min + 1
     workers = min(jobs, os.cpu_count() or 1)
-    if workers == 1 or n_max < _POOL_MIN_N_MAX:
+    if workers == 1 or n_max < _POOL_MIN_N_MAX or total < _POOL_MIN_SPAN:
         return _sweep_range((n_min, n_max + 1, max_k))
     step = max(1, total // (workers * 8))
     chunks = [

@@ -733,6 +733,30 @@ def test_closed_stdout_exits_quietly():
     err = proc.stderr.read().decode()
     assert proc.wait() == 141
     assert "Traceback" not in err and "Exception ignored" not in err
+    # `2>&1 | head -1`: the elapsed note then meets the same closed pipe;
+    # a traceback there would exit 1, and a failed flush at exit 120
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dyadicrep.cli", "greedy", "--n", "3113"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        env=child_env(),
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.wait() == 141
+
+
+def test_closed_stderr_keeps_the_payload():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dyadicrep.cli", "greedy", "--n", "41"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    proc.stderr.close()
+    out = proc.stdout.read()
+    assert proc.wait() == 0
+    assert json.loads(out)["parameters"]["n"] == 41
 
 
 def test_package_exports_each_name_once():

@@ -157,10 +157,11 @@ def test_sweep_matches_single_runs():
 
 
 def test_sweep_parallel_determinism():
-    # the range ends past n = 200, so jobs > 1 starts a real pool
-    base = sweep(150, 230)
+    # the range ends past n = 200 and spans 229 values, so jobs > 1
+    # starts a real pool, whose first chunk starts at n_min = 2
+    base = sweep(2, 230)
     for jobs in (2, 4, 8):
-        assert sweep(150, 230, jobs=jobs) == base
+        assert sweep(2, 230, jobs=jobs) == base
 
 
 def record_pools(monkeypatch, cpus):
@@ -189,20 +190,22 @@ def record_pools(monkeypatch, cpus):
 
 @pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, []), (None, [])])
 def test_sweep_caps_workers_at_cpu_count(monkeypatch, cpus, pools):
-    base = sweep(190, 210)
+    # a budget of 8 terms keeps the walks short; the pool rule ignores it
+    base = sweep(137, 210, 8)
     started = record_pools(monkeypatch, cpus)
-    assert sweep(190, 210, jobs=10**6) == base
+    assert sweep(137, 210, 8, jobs=10**6) == base
     assert started == pools
 
 
 def test_small_sweep_starts_no_pool(monkeypatch):
-    # below n_max = 200 the pool costs more than a second worker saves
-    base = sweep(190, 199)
+    # the pool costs more than a second worker saves below n_max = 200
+    # and on ranges of fewer than 64 values of n, however high they lie
     started = record_pools(monkeypatch, 3)
-    assert sweep(190, 199, jobs=10**6) == base
-    assert sweep(199, 199, jobs=2) == base[-1:]
+    assert sweep(2, 199, 8, jobs=2) == sweep(2, 199, 8)
+    assert sweep(1000, 1000, jobs=2) == sweep(1000, 1000)
+    assert sweep(1000, 1062, 8, jobs=10**6) == sweep(1000, 1062, 8)
     assert started == []
-    assert sweep(200, 200, jobs=2) == sweep(200, 200)
+    assert sweep(137, 200, 8, jobs=2) == sweep(137, 200, 8)
     assert started == [2]
 
 
