@@ -13,11 +13,12 @@ Both are decided from factorizations. Pollard-Brent rho (Brent 1980)
 splits composites; primality is trial division by the primes up to 41
 and then strong probable-prime tests to the same 13 bases, which is a
 proof below psi_13 = 3317044064679887385961981 (Sorenson-Webster 2017).
-The order is the Carmichael exponent lambda(M) with primes stripped while
-2**(v/q) == 1, so each prime q of r carries the witness 2**(r/q) != 1.
-The logarithm is Pohlig-Hellman (1978) over the factored r, with
-baby-step/giant-step in each prime-order subgroup, and a missing
-component is a proof that u has no row.
+log2_mod computes both: the order is the Carmichael exponent lambda(M)
+with primes stripped while 2**(v/q) == 1, so each prime q of r carries
+the witness 2**(r/q) != 1 and r is never factored again. The logarithm
+is Pohlig-Hellman (1978) over those primes, with baby-step/giant-step
+in each prime-order subgroup, and a missing component is a proof that
+u has no row.
 
 Policy: moduli at or past psi_13 raise UnsupportedModulusError. That puts
 every u <= 78 in range; the rows for u in {99, 113, 119} ship as constants
@@ -47,7 +48,7 @@ __all__ = [
     "family_n",
     "family_solution",
     "is_prime",
-    "mult_order",
+    "log2_mod",
     "solve_congruence",
     "table1",
     "table_row",
@@ -181,36 +182,6 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def _carmichael(modulus: int) -> tuple[int, dict[int, int]]:
-    """lambda(modulus) for odd modulus, the lcm of p**(e-1) * (p-1) over
-    the prime powers p**e of modulus, and its factorization."""
-    lam: dict[int, int] = {}
-    for p, e in factorize(modulus).items():
-        part = factorize(p - 1)
-        if e > 1:
-            part[p] = e - 1
-        for q, f in part.items():
-            lam[q] = max(lam.get(q, 0), f)
-    return prod(q**f for q, f in lam.items()), lam
-
-
-def mult_order(modulus: int) -> int:
-    """Least v >= 1 with 2**v == 1 (mod modulus), for odd modulus with
-    3 <= modulus < PROVEN_PRIME_LIMIT: lambda(modulus), computed from the
-    factorization of the modulus, with primes stripped while the power
-    stays 1.
-    """
-    if modulus < 3 or modulus % 2 == 0:
-        raise ValueError("modulus must be an odd integer >= 3")
-    if modulus >= PROVEN_PRIME_LIMIT:
-        raise UnsupportedModulusError(f"modulus {modulus} >= psi_13")
-    v, factors = _carmichael(modulus)
-    for p in factors:
-        while v % p == 0 and pow(2, v // p, modulus) == 1:
-            v //= p
-    return v
-
-
 def bsgs_dlog(
     target: int, modulus: int, order: int, *, base: int = 2
 ) -> Optional[int]:
@@ -241,31 +212,58 @@ def bsgs_dlog(
     return None
 
 
-def _pohlig_hellman(
-    target: int, modulus: int, order: int, factors: dict[int, int]
-) -> Optional[int]:
-    """The e in [0, order) with 2**e == target (mod modulus), or None, for
-    order = ord(2) with factorization {q: f}. Each component e mod q**f is
-    found digit by digit in the subgroup of order q; when every component
-    has a logarithm, (target * 2**-e)**(order/q**f) == 1 for every q, so
-    target == 2**e, and a component without one proves there is no e."""
+def log2_mod(c: int, m: int) -> tuple[int, Optional[int]]:
+    """(r, e): r = ord_m(2) and the least e >= 0 with 2**e == c (mod m),
+    or e = None when there is none, for odd 3 <= m < PROVEN_PRIME_LIMIT.
+
+    m and each p - 1 are factored once; lambda(m), the lcm of
+    p**(k-1) * (p-1) over the prime powers p**k of m, is stripped of each
+    prime q while 2**(r/q) == 1, which leaves r with its primes, so r
+    itself is never factored. e is Pohlig-Hellman (1978) over those
+    primes, digit by digit with bsgs_dlog in each subgroup of order q; a
+    digit without a logarithm proves there is no e.
+    """
+    if m < 3 or m % 2 == 0:
+        raise ValueError("modulus must be an odd integer >= 3")
+    if m >= PROVEN_PRIME_LIMIT:
+        raise UnsupportedModulusError(f"modulus {m} >= psi_13")
+    lam: dict[int, int] = {}
+    for p, k in factorize(m).items():
+        part = factorize(p - 1)
+        if k > 1:
+            part[p] = k - 1
+        for q, f in part.items():
+            lam[q] = max(lam.get(q, 0), f)
+    r = prod(q**f for q, f in lam.items())
+    for q in lam:
+        while lam[q] and pow(2, r // q, m) == 1:
+            r //= q
+            lam[q] -= 1
+    c %= m
+    if pow(c, r, m) != 1:  # c lies outside the group generated by 2
+        return r, None
     e, done = 0, 1
-    for q, f in factors.items():
+    for q, f in lam.items():
+        if not f:
+            continue
         qf = q**f
-        g = pow(2, order // qf, modulus)  # order q**f
-        h = pow(target, order // qf, modulus)
-        gamma = pow(g, qf // q, modulus)  # order q
-        g_inv = pow(g, -1, modulus)
+        g = pow(2, r // qf, m)  # order q**f
+        h = pow(c, r // qf, m)
+        gamma = pow(g, qf // q, m)  # order q
+        g_inv = pow(g, -1, m)
         x = 0
         for i in range(f):
-            t = pow(h * pow(g_inv, x, modulus), qf // q ** (i + 1), modulus)
-            d = bsgs_dlog(t, modulus, q, base=gamma)
-            if d is None:
-                return None
-            x += d * q**i
+            t = pow(h * pow(g_inv, x, m), qf // q ** (i + 1), m)
+            if t != 1:
+                d = bsgs_dlog(t, m, q, base=gamma)
+                if d is None:
+                    return r, None
+                x += d * q**i
         e += done * ((x - e) * pow(done, -1, qf) % qf)
         done *= qf
-    return e
+    if pow(2, e, m) != c:
+        raise VerificationError(f"Pohlig-Hellman gave 2^{e} != {c} mod {m}")
+    return r, e
 
 
 class ProgressionRow(NamedTuple):
@@ -280,8 +278,8 @@ class ProgressionRow(NamedTuple):
 def check_row(row: ProgressionRow) -> None:
     """Modular identity checks: the congruence holds at k0 and 2**r == 1.
     Raises VerificationError on failure. (Least-ness is established by
-    solve_congruence, not re-proved here: r is reduced from lambda(M) over
-    proven primes, and k0 - 1 is the unique logarithm in [0, r).)"""
+    log2_mod, not re-proved here: r is reduced from lambda(M) over proven
+    primes, and k0 - 1 is the unique logarithm in [0, r).)"""
     m = family_modulus(row.u)
     if not 1 <= row.k0 <= row.r:
         raise VerificationError(f"u={row.u}: k0 must lie in [1, r]")
@@ -293,19 +291,11 @@ def check_row(row: ProgressionRow) -> None:
 
 def solve_congruence(u: int) -> Optional[ProgressionRow]:
     """The progression row for u, or None when -(3u+1)/3 is not a power of
-    2 mod M; both outcomes are decided, not searched for. Raises
-    UnsupportedModulusError for M >= PROVEN_PRIME_LIMIT (u >= 79)."""
+    2 mod M; both outcomes are decided by log2_mod, not searched for.
+    Raises UnsupportedModulusError for M >= PROVEN_PRIME_LIMIT (u >= 79)."""
     m = family_modulus(u)
-    r = mult_order(m)
-    c = (-3 * u - 1) * pow(3, -1, m) % m
-    if pow(c, r, m) != 1:  # c lies outside the group generated by 2
-        return None
-    e = _pohlig_hellman(c, m, r, factorize(r))
-    if e is None:
-        return None
-    if pow(2, e, m) != c:
-        raise VerificationError(f"u={u}: Pohlig-Hellman gave 2^{e} != {c} mod {m}")
-    return ProgressionRow(u, e + 1, r)
+    r, e = log2_mod((-3 * u - 1) * pow(3, -1, m), m)
+    return None if e is None else ProgressionRow(u, e + 1, r)
 
 
 # Progression table of the paper: every u <= 78 admitting a row (all are

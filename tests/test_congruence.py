@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import prod
 
 import pytest
@@ -18,7 +19,7 @@ from dyadicrep.congruence import (
     family_n,
     family_solution,
     is_prime,
-    mult_order,
+    log2_mod,
     solve_congruence,
     table1,
     table_row,
@@ -162,13 +163,36 @@ def test_inconsistent_logarithm_is_an_error(monkeypatch):
     # a Pohlig-Hellman result that fails the final check must not be
     # mistaken for "no row"
     monkeypatch.setattr(
-        "dyadicrep.congruence._pohlig_hellman", lambda c, m, r, f: 0
+        "dyadicrep.congruence.bsgs_dlog", lambda t, m, order, base=2: 0
     )
     with pytest.raises(VerificationError):
         solve_congruence(2)
 
 
-# --- multiplicative order -------------------------------------------------
+def test_solve_congruence_never_factors_the_order(monkeypatch):
+    # M and each p - 1 are factored, once each; r's primes come from
+    # lambda(M)'s factorization, so r itself is never passed to factorize
+    real = factorize
+    seen = []
+
+    def recording(n):
+        seen.append(n)
+        return real(n)
+
+    monkeypatch.setattr("dyadicrep.congruence.factorize", recording)
+    for u in range(26):
+        m = family_modulus(u)
+        want = Counter([m] + [p - 1 for p in real(m)])
+        seen.clear()
+        solve_congruence(u)
+        assert Counter(seen) == want, u
+
+
+# --- multiplicative order and base-2 logarithm ----------------------------
+
+def _order(m: int) -> int:
+    return log2_mod(1, m)[0]
+
 
 def _order_by_pow(m: int) -> int:
     v = 1
@@ -177,18 +201,25 @@ def _order_by_pow(m: int) -> int:
     return v
 
 
+def _sympy_moduli() -> list[int]:
+    rng = random.Random(20201)
+    return [family_modulus(u) for u in range(79)] + [
+        rng.randrange(3, 1 << 64, 2) for _ in range(40)
+    ]
+
+
 def test_mult_order_against_pow_scan():
     for m in range(3, 1002, 2):
-        assert mult_order(m) == _order_by_pow(m)
+        assert _order(m) == _order_by_pow(m)
 
 
 def test_mult_order_domain():
     with pytest.raises(ValueError):
-        mult_order(10)
+        log2_mod(1, 10)
     with pytest.raises(ValueError):
-        mult_order(1)
+        log2_mod(1, 1)
     with pytest.raises(UnsupportedModulusError):
-        mult_order((1 << 82) - 3)
+        log2_mod(1, (1 << 82) - 3)
     # the embedded u=99 order is not halved: 2**(r/2) != 1 (mod M)
     u99 = table_row(99)
     assert pow(2, u99.r // 2, family_modulus(99)) != 1
@@ -196,13 +227,32 @@ def test_mult_order_domain():
 
 def test_mult_order_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    for u in range(79):
-        m = family_modulus(u)
-        assert mult_order(m) == sympy.n_order(2, m)
-    rng = random.Random(20201)
-    for _ in range(40):
-        m = rng.randrange(3, 1 << 64, 2)
-        assert mult_order(m) == sympy.n_order(2, m)
+    for m in _sympy_moduli():
+        assert _order(m) == sympy.n_order(2, m)
+
+
+def test_log2_mod_against_brute_force():
+    # every odd m up to 201, prime powers (9, 25, ..., 169) and
+    # composites (15, 45, 105, ...) included, and every residue c
+    for m in range(3, 202, 2):
+        r = _order_by_pow(m)
+        least = {}
+        for e in range(r):
+            least.setdefault(pow(2, e, m), e)
+        for c in range(m):
+            assert log2_mod(c, m) == (r, least.get(c)), (c, m)
+
+
+def test_log2_of_one_runs_no_bsgs(monkeypatch):
+    # every Pohlig-Hellman digit of 1 is already 1, so no baby-step/
+    # giant-step runs, even where r has a large prime factor
+    def refuse(*args, **kwargs):
+        raise AssertionError("bsgs_dlog called for a trivial component")
+
+    monkeypatch.setattr("dyadicrep.congruence.bsgs_dlog", refuse)
+    for m in _sympy_moduli():
+        r, e = log2_mod(1, m)
+        assert e == 0 and pow(2, r, m) == 1
 
 
 # --- primality and factoring ----------------------------------------------
@@ -248,7 +298,7 @@ def test_factorize_round_trip():
 
 @pytest.mark.parametrize("m", [7, 9, 11, 13, 29, 31, 101, 8191])
 def test_bsgs_matches_exhaustive_scan(m):
-    order = mult_order(m)
+    order = _order(m)
     for e in range(order):
         assert bsgs_dlog(pow(2, e, m), m, order) == e
 
