@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .arith import VerificationError
 from .chains import expand_chain, representation_count_certificate
-from .congruence import TABLE_ROWS, UnsupportedModulusError, table1, table_row
+from .congruence import TABLE_ROWS, UnsupportedModulusError, table1
 from .crt import certify_multiplicity, scan_subsets
 from .greedy import DEFAULT_MAX_K, greedy_for_n, greedy_representation, sweep
 from .search import run_search
@@ -201,18 +201,18 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_multiplicity(args: argparse.Namespace) -> int:
-    recs = []
-    for us, cls in scan_subsets(TABLE_ROWS, args.subset_size):
-        cert = certify_multiplicity(cls, [table_row(u) for u in us])
-        recs.append(
-            {
-                "us": list(us),
-                "residue": cls.residue,
-                "modulus": cls.modulus,
-                "k": cls.least_member_at_least(2),
-                "certificate": cert,
-            }
-        )
+    found = scan_subsets(TABLE_ROWS, args.subset_size)
+    certs = certify_multiplicity(found, TABLE_ROWS)
+    recs = [
+        {
+            "us": list(us),
+            "residue": cls.residue,
+            "modulus": cls.modulus,
+            "k": cls.least_member_at_least(2),
+            "certificate": cert,
+        }
+        for (us, cls), cert in zip(found, certs)
+    ]
     payload = {
         "command": "multiplicity",
         "parameters": {"subset_size": args.subset_size},

@@ -107,9 +107,9 @@ def family_solution(u: int, k: int) -> Optional[Solution]:
 
 def is_prime(n: int) -> bool:
     """Proven primality of n < PROVEN_PRIME_LIMIT: trial division by the
-    primes up to 41, then strong probable-prime tests to those 13 bases,
-    which no composite below psi_13 passes. Raises UnsupportedModulusError
-    for larger n."""
+    primes up to 41, which decides every n < 43**2, then strong
+    probable-prime tests to those 13 bases, which no composite below
+    psi_13 passes. Raises UnsupportedModulusError for larger n."""
     if n >= PROVEN_PRIME_LIMIT:
         raise UnsupportedModulusError(f"{n} >= psi_13: primality unproven")
     if n < 2:
@@ -117,6 +117,8 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:  # no prime factor up to 41 and below 43**2: prime
+        return True
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     for a in _SMALL_PRIMES:

@@ -8,6 +8,12 @@ rows' progressions admits one solution family per row, all with distinct
 second-largest terms n+k+u, plus the trivial solution, giving a certified
 lower bound on how many solutions that k has.
 
+certify_multiplicity proves those bounds for a whole scan: each row the
+classes use is checked once by its modular identities (the congruence at
+k0 and 2**r == 1), and each class is then shown inside every one of its
+rows' progressions by remainders alone, so no power of 2 is raised to a
+class member.
+
 scan_subsets finds the compatible m-subsets of a row list by a depth-first
 search that intersects one more row per level and never extends a prefix
 whose intersection is already empty. Since intersecting more classes can
@@ -21,7 +27,7 @@ from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import VerificationError
-from .congruence import ProgressionRow, congruence_holds
+from .congruence import ProgressionRow, check_row
 
 __all__ = [
     "CongruenceClass",
@@ -104,35 +110,46 @@ def scan_subsets(
 
 
 def certify_multiplicity(
-    k_class: CongruenceClass, rows: Sequence[ProgressionRow]
-) -> int:
-    """Certified count of distinct solutions for a k in k_class: one family
-    per row plus the trivial solution.
+    found: Sequence[tuple[tuple[int, ...], CongruenceClass]],
+    rows: Sequence[ProgressionRow],
+) -> list[int]:
+    """Certified solution counts for the (us, k_class) pairs of a subset
+    scan over rows, in order: for every k >= 2 in k_class, one family per
+    row named in us plus the trivial solution, so 1 + len(us).
 
-    Checks, for the least class member k >= 2: the congruence identity of
-    every row holds at k (modular exponentiation, cheap at any size), the
-    family is nondegenerate (k >= u+3 makes the quotient in family_n
-    positive), and the rows' u values are distinct (distinct u means
+    Each row that some class names is checked once by check_row: 1 <= k0
+    <= r, the congruence holds at k0, and 2**r == 1 (mod M). Each class
+    then takes integer checks only: its u are distinct (distinct u means
     distinct second-largest term n+k+u, so the families cannot collide;
-    the trivial solution's terms are consecutive, which no family's are).
-    Raises VerificationError on any failure; returns 1 + len(rows).
+    the trivial solution's terms are consecutive, which no family's are);
+    every row's r divides the class modulus and its least member k >= 2
+    has k == k0 (mod r), so the whole class from k on lies in the row's
+    progression, where 2**(k-1) == 2**(k0-1) (mod M) carries the
+    congruence over from k0; and k >= u+3, which makes the quotient in
+    family_n positive. Raises VerificationError on any failure.
     """
-    k = k_class.least_member_at_least(2)
-    seen_u = set()
-    for row in rows:
-        if row.u in seen_u:
-            raise VerificationError(f"duplicate row u={row.u}")
-        seen_u.add(row.u)
-        if k % row.r != row.k0 % row.r:
-            raise VerificationError(
-                f"k={k} is not in row u={row.u}'s progression"
-            )
-        if not congruence_holds(row.u, k):
-            raise VerificationError(
-                f"congruence fails for u={row.u} at k={k}"
-            )
-        if k < row.u + 3:
-            raise VerificationError(
-                f"k={k} too small for a nondegenerate u={row.u} family"
-            )
-    return 1 + len(rows)
+    by_u = {row.u: row for row in rows}
+    checked = set()
+    certs = []
+    for us, k_class in found:
+        if len(set(us)) != len(us):
+            raise VerificationError(f"duplicate row in {us}")
+        k = k_class.least_member_at_least(2)
+        for u in us:
+            row = by_u.get(u)
+            if row is None:
+                raise VerificationError(f"no row u={u} among the rows scanned")
+            if u not in checked:
+                check_row(row)
+                checked.add(u)
+            if k_class.modulus % row.r or (k - row.k0) % row.r:
+                raise VerificationError(
+                    f"class {k_class.residue} mod {k_class.modulus} is not "
+                    f"inside row u={u}'s progression"
+                )
+            if k < u + 3:
+                raise VerificationError(
+                    f"k={k} too small for a nondegenerate u={u} family"
+                )
+        certs.append(1 + len(us))
+    return certs

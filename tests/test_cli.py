@@ -21,7 +21,6 @@ from dyadicrep.congruence import (
     TABLE_ROWS,
     ProgressionRow,
     UnsupportedModulusError,
-    table_row,
 )
 from dyadicrep.greedy import SweepRow, _greedy_walk, greedy_for_n
 from dyadicrep.search import PRUNE_RULES
@@ -319,15 +318,16 @@ def test_multiplicity_empty_five_subsets(capsys):
 
 
 def test_multiplicity_corrupt_row_exits_4(capsys, monkeypatch):
-    def shifted(u):
-        row = table_row(u)
-        return ProgressionRow(u, row.k0 + 1, row.r)
-
-    monkeypatch.setattr("dyadicrep.cli.table_row", shifted)
+    # k0 moved to the next value in [1, r]: the scan still finds its
+    # classes, and the row's own check rejects it before anything prints
+    shifted = tuple(
+        ProgressionRow(row.u, row.k0 % row.r + 1, row.r) for row in TABLE_ROWS
+    )
+    monkeypatch.setattr("dyadicrep.cli.TABLE_ROWS", shifted)
     code, out, err = run_cli(capsys, "multiplicity", "--subset-size", "1")
     assert code == 4
     assert out == ""
-    assert "verification failure" in err and "progression" in err
+    assert "verification failure" in err and "congruence fails" in err
 
 
 def test_multiplicity_usage_errors(capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 from math import comb, gcd, lcm
@@ -5,8 +6,15 @@ from math import comb, gcd, lcm
 import pytest
 
 import dyadicrep.crt as crt_module
-from dyadicrep.congruence import TABLE_ROWS, ProgressionRow, congruence_holds, table_row
+from dyadicrep.congruence import (
+    TABLE_ROWS,
+    ProgressionRow,
+    check_row,
+    congruence_holds,
+    table_row,
+)
 from dyadicrep.arith import VerificationError
+from dyadicrep.cli import main
 from dyadicrep.crt import (
     CongruenceClass,
     certify_multiplicity,
@@ -167,29 +175,33 @@ def test_scan_subsets_domain():
 
 
 def test_certify_each_compatible_subset():
-    for us, cls in scan_subsets(TABLE_ROWS, 4):
-        rows = [table_row(u) for u in us]
-        assert certify_multiplicity(cls, rows) == 5
+    found = scan_subsets(TABLE_ROWS, 4)
+    assert certify_multiplicity(found, TABLE_ROWS) == [5] * len(found)
 
 
 def test_certify_single_and_pair():
     row = table_row(0)
-    assert certify_multiplicity(CongruenceClass(0, 4), [row]) == 2
+    assert certify_multiplicity([((0,), CongruenceClass(0, 4))], [row]) == [2]
     pair = [table_row(2), table_row(9)]
     cls = fold_rows(pair)
     assert cls is not None
-    assert certify_multiplicity(cls, pair) == 3
+    assert certify_multiplicity([((2, 9), cls)], pair) == [3]
 
 
 def test_certify_rejects_duplicate_rows():
     row = table_row(0)
+    found = scan_subsets([row, row], 2)
+    assert found == [((0, 0), CongruenceClass(0, 4))]
     with pytest.raises(VerificationError, match="duplicate"):
-        certify_multiplicity(CongruenceClass(0, 4), [row, row])
+        certify_multiplicity(found, [row, row])
 
 
 def test_certify_rejects_wrong_progression():
     with pytest.raises(VerificationError, match="progression"):
-        certify_multiplicity(CongruenceClass(0, 4), [table_row(1)])
+        certify_multiplicity([((1,), CongruenceClass(0, 4))], [table_row(1)])
+    # the least member is in the progression, but the class is wider
+    with pytest.raises(VerificationError, match="progression"):
+        certify_multiplicity([((1,), CongruenceClass(5, 6))], [table_row(1)])
 
 
 def test_certify_rejects_false_congruence():
@@ -197,4 +209,33 @@ def test_certify_rejects_false_congruence():
     # has no solutions at all (u=5 admits none)
     fake = ProgressionRow(5, 2, 2)
     with pytest.raises(VerificationError, match="congruence"):
-        certify_multiplicity(CongruenceClass(0, 2), [fake])
+        certify_multiplicity([((5,), CongruenceClass(0, 2))], [fake])
+
+
+def test_certify_rejects_row_without_period():
+    # the congruence holds at k0 = 4 (M = 5), but 2**6 == 4 (mod 5), so
+    # k0 + t*6 is not a progression of solutions
+    fake = ProgressionRow(0, 4, 6)
+    with pytest.raises(VerificationError, match=r"2\^r != 1"):
+        certify_multiplicity([((0,), CongruenceClass(4, 6))], [fake])
+
+
+def test_certify_rejects_class_without_its_row():
+    with pytest.raises(VerificationError, match="no row u=2"):
+        certify_multiplicity([((2,), CongruenceClass(22, 28))], [table_row(0)])
+
+
+def test_certify_checks_each_used_row_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(row):
+        calls.append(row.u)
+        return check_row(row)
+
+    monkeypatch.setattr(crt_module, "check_row", counting)
+    assert main(["multiplicity", "--subset-size", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    used = {u for rec in payload["rows"] for u in rec["us"]}
+    assert payload["count"] > len(used)  # rows are shared between classes
+    assert len(calls) == len(set(calls)) <= len(used)
+    assert set(calls) == used
