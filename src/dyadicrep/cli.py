@@ -2,7 +2,8 @@
 
 Commands print their payload to stdout (JSON or CSV, selected by
 --format) and everything else to stderr: timing, progress, warnings.
-Payloads are byte-deterministic for fixed inputs, whatever --jobs says.
+Payloads are byte-deterministic for fixed arguments: every command runs
+in one process, and --jobs is only validated and echoed.
 Each command builds its JSON payload once; the CSV form is one line per
 record of its "rows" with one rule for every cell: a list is space-joined,
 a bool is true/false, None is an empty cell.
@@ -138,7 +139,9 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    rows = sweep(args.n_min, args.n_max, args.max_k, jobs=args.jobs)
+    if args.jobs < 1:
+        raise ValueError("jobs must be positive")
+    rows = sweep(args.n_min, args.n_max, args.max_k)
     violations = [
         r
         for r in rows
@@ -270,6 +273,16 @@ def _add_format(p: argparse.ArgumentParser, default: str) -> None:
     )
 
 
+def _add_jobs(p: argparse.ArgumentParser, work: str) -> None:
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help=f"accepted and echoed in the payload; the {work} runs in one "
+        "process (default: 1)",
+    )
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process and shared by every call,
@@ -286,13 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         "enumerate", help="all solutions with exactly k terms, sorted"
     )
     p.add_argument("k", type=int, help="number of terms (k >= 2)")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted and echoed in the payload; the search runs in one "
-        "process (default: 1)",
-    )
+    _add_jobs(p, "search")
     _add_format(p, "json")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -313,9 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-k", type=int, default=DEFAULT_MAX_K, help="per-n term budget"
     )
-    p.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1, help="worker processes"
-    )
+    _add_jobs(p, "sweep")
     p.add_argument(
         "--figures",
         action="store_true",

@@ -13,12 +13,12 @@ j/2**j is never expanded as the single term j; the walk starts past j
 (so 1/4 expands to {5, 6}, not {4}). The remainder is kept as integers
 x_i = r/q, starting from the reduced fraction x_{k0}: doubling halves q
 while q is even and doubles r once q is odd, so no fraction arithmetic
-happens in the loop. For x = n/2**n the walk starts at q = 1.
+happens in the loop. For x = n/2**n the walk starts at q = 1, so its
+state is (i, r) alone, which lets a sweep over n share the tails of walks.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .arith import Solution, VerificationError, sums_to, verify_solution
@@ -36,13 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_K = 1 << 20
-
-# sweeps ending below n = 200, or spanning fewer than 64 values of n, run
-# in-process: on 2 cores a second worker first paid for starting the pool
-# near `sweep 2 200`, and on narrow ranges starting anywhere from n = 200
-# to 3000 once they held between 48 and 64 walks
-_POOL_MIN_N_MAX = 200
-_POOL_MIN_SPAN = 64
 
 
 def _validate_x(x: Fraction) -> Fraction:
@@ -72,9 +65,12 @@ def k_zero(x: Fraction) -> int:
 
 
 def _greedy_walk(
-    i: int, r: int, q: int, max_k: int, check: bool
-) -> tuple[list[int], bool]:
-    """Core loop from x_i = r/q; returns (emitted, terminated).
+    i: int, r: int, q: int, max_k: int, check: bool, stop: int = 0
+) -> tuple[list[int], int, int]:
+    """Core loop from x_i = r/q; returns (emitted, i, r) where it halted:
+    r == 0 once the walk terminated, else i == stop or the budget ran out.
+    The default stop = 0 is never reached (i >= 1). The state returned
+    omits q, so only a walk at q = 1 can resume from it.
 
     Doubling halves q while it is even and doubles r once it is odd, so
     the power of two in q goes away one bit per step. With check=True the
@@ -86,7 +82,7 @@ def _greedy_walk(
     """
     emitted: list[int] = []
     k = 0
-    while r and k <= max_k:
+    while r and k <= max_k and i != stop:
         if check and r >= (i + 1) * q:
             raise VerificationError(f"x_{i} >= {i + 1} (remainder {r}/{q})")
         if q & 1:
@@ -99,7 +95,7 @@ def _greedy_walk(
             k += 1
             r = t
         i += 1
-    return emitted, r == 0
+    return emitted, i, r
 
 
 def greedy_representation(
@@ -118,10 +114,8 @@ def greedy_representation(
         raise ValueError("max_k must be positive")
     i = k_zero(x)
     start = x * (1 << (i - 1))
-    emitted, terminated = _greedy_walk(
-        i, start.numerator, start.denominator, max_k, True
-    )
-    if not terminated:
+    emitted, _, r = _greedy_walk(i, start.numerator, start.denominator, max_k, True)
+    if r:
         return None
     out = tuple(emitted)
     if not sums_to(out, x.numerator, x.denominator):
@@ -129,23 +123,6 @@ def greedy_representation(
             f"greedy expansion of {x} failed its exactness re-check"
         )
     return out
-
-
-def _expand_n(
-    n: int, max_k: int, check: bool
-) -> tuple[list[int], Optional[Solution]]:
-    """The walk of n/2**n, which starts at index n+1 with integer
-    remainder n: (emitted, solution), the solution None for an exhausted
-    budget and re-checked exactly when check is set."""
-    emitted, terminated = _greedy_walk(n + 1, n, 1, max_k, check)
-    if not terminated:
-        return emitted, None
-    sol = Solution(n, tuple(emitted))
-    if check and not verify_solution(sol):
-        raise VerificationError(
-            f"greedy expansion of {n}/2^{n} failed its exactness re-check"
-        )
-    return emitted, sol
 
 
 def greedy_for_n(
@@ -162,8 +139,15 @@ def greedy_for_n(
         raise ValueError("greedy_for_n needs n >= 2")
     if max_k < 1:
         raise ValueError("max_k must be positive")
-    sol = _expand_n(n, max_k, check)[1]
-    return None if sol is None else (sol.k, sol)
+    emitted, _, r = _greedy_walk(n + 1, n, 1, max_k, check)
+    if r:
+        return None
+    sol = Solution(n, tuple(emitted))
+    if check and not verify_solution(sol):
+        raise VerificationError(
+            f"greedy expansion of {n}/2^{n} failed its exactness re-check"
+        )
+    return sol.k, sol
 
 
 class SweepRow(NamedTuple):
@@ -176,26 +160,23 @@ class SweepRow(NamedTuple):
     terminated: bool
 
 
-def _sweep_range(args: tuple[int, int, int]) -> list[SweepRow]:
-    lo, hi, max_k = args
-    rows = []
-    for n in range(lo, hi):
-        emitted, sol = _expand_n(n, max_k, True)
-        rows.append(SweepRow(n, len(emitted), emitted[-1], sol is not None))
-    return rows
+def sweep(n_min: int, n_max: int, max_k: int = DEFAULT_MAX_K) -> list[SweepRow]:
+    """Greedy stats for every n in [n_min, n_max], in n order.
 
+    The walk of n/2**n keeps q = 1, so its state is (i, r) alone, and two
+    walks that reach one state end alike. Each walk stops at the first
+    index i divisible by 64 whose state an earlier walk of this call passed
+    on its way to termination, and takes that walk's remaining term count
+    and last term. If that total would break the budget, the walk goes on
+    by itself, so an exhausted row reports its own partial walk.
 
-def sweep(
-    n_min: int, n_max: int, max_k: int = DEFAULT_MAX_K, *, jobs: int = 1
-) -> list[SweepRow]:
-    """Greedy stats for every n in [n_min, n_max], in n order, each walk
-    checked as in greedy_for_n.
-
-    Results are identical for any jobs value; parallel runs split the range
-    into contiguous chunks and merge them back in order. At most
-    os.cpu_count() worker processes are started, and none when that
-    leaves one, when n_max < 200 or when the range holds fewer than 64
-    values of n, where the pool costs more than it saves.
+    Each block [i0, i1) of indices walked is certified as it ends: the
+    unexpanded value at index i is r/2**(i-1), so the block's terms must
+    sum to (r0 * 2**(i1-i0) - r1) / 2**(i1-1), and an empty block must
+    leave r1 = r0 * 2**(i1-i0). A terminated row's blocks, with those of
+    the walks it joined, telescope from n/2**n down to a zero remainder,
+    which proves it exact without re-summing its terms. Every step walked
+    asserts the feasibility invariant x_i < i+1.
     """
     if n_min < 2:
         raise ValueError("sweep starts at n >= 2")
@@ -203,23 +184,35 @@ def sweep(
         raise ValueError("empty sweep range")
     if max_k < 1:
         raise ValueError("max_k must be positive")
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
-    total = n_max - n_min + 1
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers == 1 or n_max < _POOL_MIN_N_MAX or total < _POOL_MIN_SPAN:
-        return _sweep_range((n_min, n_max + 1, max_k))
-    step = max(1, total // (workers * 8))
-    chunks = [
-        (lo, min(lo + step, n_max + 1), max_k)
-        for lo in range(n_min, n_max + 1, step)
-    ]
-    # imported here: the pool pulls in multiprocessing, which no other
-    # path needs, so one-shot CLI calls do not pay for it at start-up
-    from concurrent.futures import ProcessPoolExecutor
-
-    rows: list[SweepRow] = []
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        for part in ex.map(_sweep_range, chunks):
-            rows.extend(part)
+    rest: dict[tuple[int, int], tuple[int, int]] = {}
+    rows = []
+    for n in range(n_min, n_max + 1):
+        i, r, k, last = n + 1, n, 0, 0
+        passed: list[tuple[int, int, int]] = []  # (i, r, terms before i)
+        joins = True
+        while r and k <= max_k:
+            emitted, i1, r1 = _greedy_walk(i, r, 1, max_k - k, True, (i | 63) + 1)
+            if emitted:
+                exact = sums_to(emitted, (r << (i1 - i)) - r1, e=i1 - 1)
+                last = emitted[-1]
+            else:
+                exact = r << (i1 - i) == r1
+            if not exact:
+                raise VerificationError(
+                    f"greedy sweep block [{i}, {i1}) of n={n} failed its "
+                    "exactness re-check"
+                )
+            i, r, k = i1, r1, k + len(emitted)
+            if r and joins:
+                tail = rest.get((i, r))
+                if tail is None:
+                    passed.append((i, r, k))
+                elif k + tail[0] <= max_k + 1:
+                    r, k, last = 0, k + tail[0], tail[1]
+                else:
+                    joins = False
+        if not r:
+            for state_i, state_r, before in passed:
+                rest[state_i, state_r] = (k - before, last)
+        rows.append(SweepRow(n, k, last, not r))
     return rows

@@ -140,8 +140,8 @@ def test_records_are_immutable_picklable_tuples():
         with pytest.raises(AttributeError):
             setattr(record, field, value)
         assert getattr(record, field) is value
-    # the sweep pool sends SweepRows between processes; unpickling a
-    # Solution runs its checks again
+    # the records pickle as the tuples they are; unpickling a Solution
+    # runs its checks again
     sol = Solution(11, [12, 13, 14])
     assert pickle.loads(pickle.dumps(sol)) == sol
     assert type(pickle.loads(pickle.dumps(sol))) is Solution

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dyadicrep
+from dyadicrep.arith import VerificationError
 from dyadicrep.chains import ChainResult, expand_chain
 from dyadicrep.cli import build_parser, main
 from dyadicrep.congruence import (
@@ -22,7 +23,7 @@ from dyadicrep.congruence import (
     ProgressionRow,
     UnsupportedModulusError,
 )
-from dyadicrep.greedy import SweepRow, _greedy_walk, greedy_for_n
+from dyadicrep.greedy import SweepRow, _greedy_walk, greedy_for_n, sweep
 from dyadicrep.search import PRUNE_RULES
 from known_solutions import (
     COMBINED_MODULUS,
@@ -180,6 +181,12 @@ def test_sweep_jobs_invariant(capsys):
     _, out1, _ = run_cli(capsys, "sweep", "2", "40", "--jobs", "1")
     _, out3, _ = run_cli(capsys, "sweep", "2", "40", "--jobs", "3")
     assert out1 == out3
+
+
+def test_sweep_jobs_defaults_to_one():
+    # the payload echoes --jobs, so a default read from the machine would
+    # make the bytes depend on its CPU count
+    assert build_parser().parse_args(["sweep", "2", "30"]).jobs == 1
 
 
 def test_sweep_json(capsys):
@@ -402,7 +409,12 @@ def test_chain_usage_errors(capsys, argv):
     "argv", [("greedy", "--n", "41"), ("sweep", "2", "5", "--jobs", "1")]
 )
 def test_failed_greedy_recheck_exits_4(capsys, monkeypatch, argv):
-    monkeypatch.setattr("dyadicrep.greedy.verify_solution", lambda sol: False)
+    # greedy --n re-checks the whole term list; the sweep certifies each
+    # block of indices it walks with sums_to
+    if argv[0] == "greedy":
+        monkeypatch.setattr("dyadicrep.greedy.verify_solution", lambda sol: False)
+    else:
+        monkeypatch.setattr("dyadicrep.greedy.sums_to", lambda *a, **k: False)
     code, out, err = run_cli(capsys, *argv)
     assert code == 4
     assert out == ""
@@ -419,11 +431,43 @@ def test_failed_search_post_check_exits_4(capsys, monkeypatch):
 
 def test_failed_greedy_x_recheck_exits_4(capsys, monkeypatch):
     def drop_last_term(*args):
-        emitted, terminated = _greedy_walk(*args)
-        return emitted[:-1], terminated
+        emitted, i, r = _greedy_walk(*args)
+        return emitted[:-1], i, r
 
     monkeypatch.setattr("dyadicrep.greedy._greedy_walk", drop_last_term)
     code, out, err = run_cli(capsys, "greedy", "--x", "3/8")
+    assert code == 4
+    assert out == ""
+    assert "verification failure" in err and "re-check" in err
+
+
+def drop_an_index(emitted, i, r):
+    return emitted[1:], i, r
+
+
+def shift_the_remainder(emitted, i, r):
+    return emitted, i, r + 1
+
+
+@pytest.mark.parametrize("corrupt", [drop_an_index, shift_the_remainder])
+def test_sweep_certificate_catches_a_corrupt_block(capsys, monkeypatch, corrupt):
+    # the walk lies about one block past the first of n = 30, a block that
+    # emits terms; every other block is reported as walked
+    corrupted = []
+
+    def lying_walk(i, r, q, max_k, check, stop=0):
+        got = _greedy_walk(i, r, q, max_k, check, stop)
+        if not corrupted and i >= 128 and got[0] and got[2]:
+            corrupted.append(i)
+            return corrupt(*got)
+        return got
+
+    monkeypatch.setattr("dyadicrep.greedy._greedy_walk", lying_walk)
+    with pytest.raises(VerificationError, match="block .* re-check"):
+        sweep(30, 40)
+    assert corrupted
+    corrupted.clear()
+    code, out, err = run_cli(capsys, "sweep", "30", "40")
     assert code == 4
     assert out == ""
     assert "verification failure" in err and "re-check" in err
@@ -693,10 +737,11 @@ def test_library_imports_only_the_standard_library():
 
 
 def test_startup_defers_the_pool_and_hashlib():
-    # a CLI call that starts no workers and digests no chain must not load
-    # multiprocessing or hashlib; chain is the one command that loads hashlib.
-    # The records are NamedTuples, so nothing loads dataclasses (or inspect),
-    # and only greedy --x loads fractions (and decimal)
+    # a CLI call that digests no chain must not load hashlib, and no call
+    # loads multiprocessing: sweep runs in one process whatever --jobs says,
+    # and chain is the one command that loads hashlib. The records are
+    # NamedTuples, so nothing loads dataclasses (or inspect), and only
+    # greedy --x loads fractions (and decimal)
     script = (
         "import sys\n"
         "from dyadicrep.cli import build_parser, main\n"
@@ -704,9 +749,11 @@ def test_startup_defers_the_pool_and_hashlib():
         "deferred = ('concurrent.futures', 'multiprocessing', 'hashlib',\n"
         "            'dataclasses', 'inspect', 'fractions', 'decimal')\n"
         "print(sorted(m for m in deferred if m in sys.modules))\n"
+        "assert main(['sweep', '2', '300', '--jobs', '2']) == 0\n"
+        "pool = sorted(m for m in deferred[:2] if m in sys.modules)\n"
         "assert main(['chain', '8', '1', '--format', 'json']) == 0\n"
         "assert main(['greedy', '--x', '1/3', '--max-k', '60']) == 3\n"
-        "print('hashlib' in sys.modules, 'fractions' in sys.modules)\n"
+        "print(pool, 'hashlib' in sys.modules, 'fractions' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script],
@@ -716,7 +763,7 @@ def test_startup_defers_the_pool_and_hashlib():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "[]"
-    assert proc.stdout.splitlines()[-1] == "True True"
+    assert proc.stdout.splitlines()[-1] == "[] True True"
 
 
 def test_closed_stdout_exits_quietly():

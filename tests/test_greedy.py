@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from dyadicrep.arith import VerificationError, verify_solution
 from dyadicrep.greedy import (
     DEFAULT_MAX_K,
+    SweepRow,
     _greedy_walk,
     greedy_for_n,
     greedy_representation,
@@ -125,8 +127,6 @@ def test_domain_errors():
         sweep(1, 5)
     with pytest.raises(ValueError):
         sweep(5, 4)
-    with pytest.raises(ValueError):
-        sweep(2, 5, jobs=0)
     with pytest.raises(ValueError, match="max_k must be positive"):
         sweep(2, 10, 0)
 
@@ -147,66 +147,32 @@ def test_walk_rejects_an_infeasible_start():
         _greedy_walk(3, 16, 4, 10, True)
 
 
+def direct_row(n, max_k):
+    """The sweep row of n from its own walk, with no shared states."""
+    emitted, _, r = _greedy_walk(n + 1, n, 1, max_k, False)
+    return SweepRow(n, len(emitted), emitted[-1], r == 0)
+
+
 def test_sweep_matches_single_runs():
-    rows = sweep(2, 120)
-    assert [r.n for r in rows] == list(range(2, 121))
-    for row in rows:
-        assert row.terminated
-        k, sol = greedy_for_n(row.n)
-        assert (row.k, row.last_term) == (k, sol.terms[-1])
+    # every n up to 300, and one n from each of 40 strata of width 250 of
+    # the paper's range, whose walks join those of smaller n
+    rng = random.Random(2024)
+    sample = [rng.randrange(max(2, 250 * s), 250 * (s + 1)) for s in range(40)]
+    rows = sweep(2, 10**4)
+    assert [r.n for r in rows] == list(range(2, 10**4 + 1))
+    for n in sample:
+        assert rows[n - 2] == direct_row(n, DEFAULT_MAX_K)
+    assert sweep(2, 300) == [direct_row(n, DEFAULT_MAX_K) for n in range(2, 301)]
 
 
-def test_sweep_parallel_determinism():
-    # the range ends past n = 200 and spans 229 values, so jobs > 1
-    # starts a real pool, whose first chunk starts at n_min = 2
-    base = sweep(2, 230)
-    for jobs in (2, 4, 8):
-        assert sweep(2, 230, jobs=jobs) == base
-
-
-def record_pools(monkeypatch, cpus):
-    """Replace the process pool by a stand-in that records its worker count
-    and maps in this process, so no real process is started however large
-    jobs is; returns the list of recorded counts."""
-    started = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr("dyadicrep.greedy.os.cpu_count", lambda: cpus)
-    return started
-
-
-@pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, []), (None, [])])
-def test_sweep_caps_workers_at_cpu_count(monkeypatch, cpus, pools):
-    # a budget of 8 terms keeps the walks short; the pool rule ignores it
-    base = sweep(137, 210, 8)
-    started = record_pools(monkeypatch, cpus)
-    assert sweep(137, 210, 8, jobs=10**6) == base
-    assert started == pools
-
-
-def test_small_sweep_starts_no_pool(monkeypatch):
-    # the pool costs more than a second worker saves below n_max = 200
-    # and on ranges of fewer than 64 values of n, however high they lie
-    started = record_pools(monkeypatch, 3)
-    assert sweep(2, 199, 8, jobs=2) == sweep(2, 199, 8)
-    assert sweep(1000, 1000, jobs=2) == sweep(1000, 1000)
-    assert sweep(1000, 1062, 8, jobs=10**6) == sweep(1000, 1062, 8)
-    assert started == []
-    assert sweep(137, 200, 8, jobs=2) == sweep(137, 200, 8)
-    assert started == [2]
+def test_sweep_budget_stops_joined_walks():
+    # under a 50-term budget, n = 40 meets a stored state whose remaining
+    # terms would take it past the budget: it walks on by itself and
+    # reports its own partial walk
+    rows = sweep(2, 300, 50)
+    assert rows == [direct_row(n, 50) for n in range(2, 301)]
+    assert not rows[40 - 2].terminated
+    assert 0 < sum(not r.terminated for r in rows) < len(rows)
 
 
 def test_sweep_budget_exhaustion_row():
