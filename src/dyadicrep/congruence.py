@@ -1,13 +1,14 @@
-"""Solution families from the congruence 3*2**(k-1) + 3u + 1 == 0 (mod M).
+"""Solution families from tails after a run, and Table 1 among them.
 
-For M = 2**(u+3) - 3, any k satisfying the congruence yields the solution
-
-    n = 2**(k-1) - k + (3*2**(k-1) + 3u + 1) / M
-    terms = (n+1, ..., n+k-2, n+k+u, n+k+u+1)
-
-and the solving k form the arithmetic progression k0 + t*r, r the
-multiplicative order of 2 mod M. Solving for k0 is a discrete logarithm:
-2**(k-1) == (-3u - 1) / 3 (mod M).
+Every solution is a run n+1..n+j (j >= 0) then a tail n+j+d_1 < ... <
+n+j+d_r with d_1 >= 2. Scaled by 2**(n+j+d_r) it reads n*M = 2**(s+j) -
+2**s + T - j*M, with s = d_r + 1, M = 2**d_r - sum(2**(d_r - d_l)) odd
+and T = sum(d_l * 2**(d_r - d_l)). So n is an integer (and then positive)
+exactly when 2**(s+j) == 2**s - T (mod M): the solving j form a
+progression j0 + t*r, r the multiplicative order of 2 mod M, and j0 is a
+discrete logarithm. Table 1 is the tail d = (u+2, u+3), k = j + 2, where
+M = 2**(u+3) - 3, T = 3u + 7 and the condition is the paper's
+3*2**(k-1) + 3u + 1 == 0 (mod M).
 
 Both are decided from factorizations. Pollard-Brent rho (Brent 1980)
 splits composites; primality is trial division by the primes up to 41
@@ -22,8 +23,7 @@ u has no row.
 
 Policy: moduli at or past psi_13 raise UnsupportedModulusError. That puts
 every u <= 78 in range; the rows for u in {99, 113, 119} ship as constants
-verified by the modular identities 3*2**(k0-1) + 3u + 1 == 0 and
-2**r == 1 (mod M). table1 applies this policy to every u up to a bound.
+verified by check_row. table1 applies this policy to every u up to a bound.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from itertools import count
 from math import gcd, isqrt, prod
 from typing import NamedTuple, Optional
 
-from .arith import Solution, VerificationError
+from .arith import Solution, VerificationError, scaled_sum
 
 __all__ = [
     "EMBEDDED_US",
@@ -42,16 +42,13 @@ __all__ = [
     "UnsupportedModulusError",
     "bsgs_dlog",
     "check_row",
-    "congruence_holds",
     "factorize",
-    "family_modulus",
-    "family_n",
-    "family_solution",
     "is_prime",
     "log2_mod",
     "solve_congruence",
     "table1",
     "table_row",
+    "tail_solution",
 ]
 
 # psi_13: the least strong pseudoprime to all of the 13 prime bases 2..41
@@ -64,45 +61,31 @@ class UnsupportedModulusError(ValueError):
     """A number at or past PROVEN_PRIME_LIMIT, where primality is unproven."""
 
 
-def family_modulus(u: int) -> int:
-    """M = 2**(u+3) - 3 for u >= 0."""
-    if u < 0:
-        raise ValueError("u must be non-negative")
-    return (1 << (u + 3)) - 3
+def _tail(d: tuple[int, ...]) -> tuple[int, int, int]:
+    """(M, T, s) of the tail offsets 2 <= d_1 < ... < d_r: M = 2**d_r -
+    sum(2**(d_r - d_l)), T = sum(d_l * 2**(d_r - d_l)) and s = d_r + 1."""
+    if not d:
+        raise ValueError("a tail needs at least one offset")
+    last, m, prev = d[-1], 1 << d[-1], 1
+    for a in d:
+        if a <= prev:
+            raise ValueError("tail offsets must increase from at least 2")
+        m -= 1 << (last - a)
+        prev = a
+    return m, scaled_sum(d), last + 1
 
 
-def congruence_holds(u: int, k: int) -> bool:
-    """Whether 3*2**(k-1) + 3u + 1 == 0 (mod 2**(u+3) - 3). Cheap for any
-    size of k via modular exponentiation."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    m = family_modulus(u)
-    return (3 * pow(2, k - 1, m) + 3 * u + 1) % m == 0
-
-
-def family_n(u: int, k: int) -> Optional[int]:
-    """n = 2**(k-1) - k + (3*2**(k-1) + 3u + 1)/M when that quotient is a
-    positive integer, else None. Builds 2**(k-1), so keep k desk-scale;
-    for astronomic k test membership with congruence_holds instead."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    m = family_modulus(u)
-    num = 3 * (1 << (k - 1)) + 3 * u + 1
-    q, rem = divmod(num, m)
-    if rem or q < 1:
+def tail_solution(d: tuple[int, ...], j: int) -> Optional[Solution]:
+    """The solution (n+1, ..., n+j, n+j+d_1, ..., n+j+d_r), or None when
+    n = (2**(s+j) - 2**s + T - j*M)/M is not an integer. Builds 2**(s+j),
+    so keep j desk-scale."""
+    if j < 0:
+        raise ValueError("j must be non-negative")
+    m, t, s = _tail(d)
+    n, rem = divmod((1 << (s + j)) - (1 << s) + t - j * m, m)
+    if rem:
         return None
-    n = (1 << (k - 1)) - k + q
-    return n if n >= 1 else None
-
-
-def family_solution(u: int, k: int) -> Optional[Solution]:
-    """The k-term solution (n+1, ..., n+k-2, n+k+u, n+k+u+1), or None when
-    the congruence does not hold at (u, k)."""
-    n = family_n(u, k)
-    if n is None:
-        return None
-    terms = tuple(range(n + 1, n + k - 1)) + (n + k + u, n + k + u + 1)
-    return Solution(n, terms)
+    return Solution(n, tuple(range(n + 1, n + j + 1)) + tuple(n + j + a for a in d))
 
 
 def is_prime(n: int) -> bool:
@@ -278,26 +261,28 @@ class ProgressionRow(NamedTuple):
 
 
 def check_row(row: ProgressionRow) -> None:
-    """Modular identity checks: the congruence holds at k0 and 2**r == 1.
+    """Modular identity checks on the tail d = (u+2, u+3): the congruence
+    holds at k0, as 2**(s+k0-2) == 2**s - T, and 2**r == 1 (mod M).
     Raises VerificationError on failure. (Least-ness is established by
     log2_mod, not re-proved here: r is reduced from lambda(M) over proven
     primes, and k0 - 1 is the unique logarithm in [0, r).)"""
-    m = family_modulus(row.u)
+    m, t, s = _tail((row.u + 2, row.u + 3))
     if not 1 <= row.k0 <= row.r:
         raise VerificationError(f"u={row.u}: k0 must lie in [1, r]")
-    if not congruence_holds(row.u, row.k0):
+    if pow(2, s + row.k0 - 2, m) != ((1 << s) - t) % m:
         raise VerificationError(f"u={row.u}: congruence fails at k0={row.k0}")
     if pow(2, row.r, m) != 1:
         raise VerificationError(f"u={row.u}: 2^r != 1 mod {m}")
 
 
 def solve_congruence(u: int) -> Optional[ProgressionRow]:
-    """The progression row for u, or None when -(3u+1)/3 is not a power of
-    2 mod M; both outcomes are decided by log2_mod, not searched for.
-    Raises UnsupportedModulusError for M >= PROVEN_PRIME_LIMIT (u >= 79)."""
-    m = family_modulus(u)
-    r, e = log2_mod((-3 * u - 1) * pow(3, -1, m), m)
-    return None if e is None else ProgressionRow(u, e + 1, r)
+    """The progression row for u, or None when the tail constant 2**s - T
+    of d = (u+2, u+3), whose logarithm is s + k0 - 2 mod r, is no power of
+    2 mod M; log2_mod decides both outcomes. Raises UnsupportedModulusError
+    for M >= PROVEN_PRIME_LIMIT (u >= 79)."""
+    m, t, s = _tail((u + 2, u + 3))
+    r, e = log2_mod((1 << s) - t, m)
+    return None if e is None else ProgressionRow(u, (e - s + 1) % r + 1, r)
 
 
 # Progression table of the paper: every u <= 78 admitting a row (all are

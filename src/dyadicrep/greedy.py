@@ -184,11 +184,11 @@ def sweep(n_min: int, n_max: int, max_k: int = DEFAULT_MAX_K) -> list[SweepRow]:
         raise ValueError("empty sweep range")
     if max_k < 1:
         raise ValueError("max_k must be positive")
-    rest: dict[tuple[int, int], tuple[int, int]] = {}
+    rest: dict[int, tuple[int, int]] = {}
     rows = []
     for n in range(n_min, n_max + 1):
         i, r, k, last = n + 1, n, 0, 0
-        passed: list[tuple[int, int, int]] = []  # (i, r, terms before i)
+        passed: list[tuple[int, int]] = []  # (state key, terms before it)
         joins = True
         while r and k <= max_k:
             emitted, i1, r1 = _greedy_walk(i, r, 1, max_k - k, True, (i | 63) + 1)
@@ -204,15 +204,16 @@ def sweep(n_min: int, n_max: int, max_k: int = DEFAULT_MAX_K) -> list[SweepRow]:
                 )
             i, r, k = i1, r1, k + len(emitted)
             if r and joins:
-                tail = rest.get((i, r))
+                key = i * i + r  # one int per state: r <= i keeps keys apart
+                tail = rest.get(key)
                 if tail is None:
-                    passed.append((i, r, k))
+                    passed.append((key, k))
                 elif k + tail[0] <= max_k + 1:
                     r, k, last = 0, k + tail[0], tail[1]
                 else:
                     joins = False
         if not r:
-            for state_i, state_r, before in passed:
-                rest[state_i, state_r] = (k - before, last)
+            for key, before in passed:
+                rest[key] = (k - before, last)
         rows.append(SweepRow(n, k, last, not r))
     return rows

@@ -1,6 +1,9 @@
 """Test-side references for constructions the library does not ship.
 
-fold_rows intersects the progressions of table rows one row at a time, the
+u_modulus and u_congruence_holds state Table 1's condition in the paper's
+own form, 3*2**(k-1) + 3u + 1 == 0 (mod 2**(u+3) - 3), independent of the
+library's tail form; one pow keeps the test cheap at any size of k. fold_rows
+intersects the progressions of table rows one row at a time, the
 plain reference that crt.scan_subsets must reproduce. tail_sum and
 HALF_PREFIXES give a number 1/2 + tail three distinct representations.
 """
@@ -8,6 +11,17 @@ HALF_PREFIXES give a number 1/2 + tail three distinct representations.
 from fractions import Fraction
 
 from dyadicrep.crt import CongruenceClass, crt_pair
+
+
+def u_modulus(u):
+    """M = 2**(u+3) - 3, the modulus of Table 1's row u."""
+    return (1 << (u + 3)) - 3
+
+
+def u_congruence_holds(u, k):
+    """Whether 3*2**(k-1) + 3u + 1 == 0 (mod 2**(u+3) - 3)."""
+    m = u_modulus(u)
+    return (3 * pow(2, k - 1, m) + 3 * u + 1) % m == 0
 
 
 def fold_rows(rows):

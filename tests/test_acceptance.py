@@ -23,9 +23,9 @@ from dyadicrep.congruence import (
     EMBEDDED_US,
     ProgressionRow,
     check_row,
-    family_solution,
     solve_congruence,
     table_row,
+    tail_solution,
 )
 from dyadicrep.congruence import TABLE_ROWS
 from dyadicrep.crt import CongruenceClass, certify_multiplicity, scan_subsets
@@ -153,10 +153,10 @@ def test_criterion_07_crt_combination_and_subset_scan():
 
 def test_criterion_08_family_cross_checks():
     with criterion(8, "congruence families land on the enumerated solutions"):
-        sol = family_solution(0, 4)
+        sol = tail_solution((2, 3), 2)
         assert (sol.n, sol.terms) == (9, (10, 11, 13, 14))
         assert verify_solution(sol)
-        sol = family_solution(1, 5)
+        sol = tail_solution((3, 4), 3)
         assert (sol.n, sol.terms) == (15, (16, 17, 18, 21, 22))
         assert verify_solution(sol)
         assert (9, (10, 11, 13, 14)) in SMALL_K[4]

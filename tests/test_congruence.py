@@ -11,52 +11,90 @@ from dyadicrep.congruence import (
     TABLE_ROWS,
     ProgressionRow,
     UnsupportedModulusError,
+    _tail,
     bsgs_dlog,
     check_row,
-    congruence_holds,
     factorize,
-    family_modulus,
-    family_n,
-    family_solution,
     is_prime,
     log2_mod,
     solve_congruence,
     table1,
     table_row,
+    tail_solution,
 )
+from dyadicrep.search import enumerate_solutions
 from known_solutions import COMPUTED_ROWS
+from oracles import u_congruence_holds, u_modulus
 
 
 def test_family_modulus():
-    assert family_modulus(0) == 5
-    assert family_modulus(1) == 13
-    assert family_modulus(2) == 29
-    assert family_modulus(55) == (1 << 58) - 3
-    with pytest.raises(ValueError):
-        family_modulus(-1)
+    # Table 1's row u is the tail d = (u+2, u+3): M = 2**(u+3) - 3, T = 3u+7
+    for u in (0, 1, 2, 55):
+        assert _tail((u + 2, u + 3)) == (u_modulus(u), 3 * u + 7, u + 4)
+    assert [u_modulus(u) for u in range(3)] == [5, 13, 29]
 
 
 def test_congruence_holds_examples():
-    assert congruence_holds(0, 4)
-    assert congruence_holds(0, 8)
-    assert not congruence_holds(0, 5)
-    assert congruence_holds(1, 5)
-    with pytest.raises(ValueError):
-        congruence_holds(0, 0)
+    assert u_congruence_holds(0, 4)
+    assert u_congruence_holds(0, 8)
+    assert not u_congruence_holds(0, 5)
+    assert u_congruence_holds(1, 5)
+    # the tail core solves exactly where the paper's congruence holds
+    for u in range(8):
+        for k in range(2, 60):
+            sol = tail_solution((u + 2, u + 3), k - 2)
+            assert (sol is not None) == u_congruence_holds(u, k), (u, k)
 
 
 def test_family_reproduces_known_solutions():
     # the u=0 and u=1 families land exactly on enumerated solutions
-    sol = family_solution(0, 4)
+    sol = tail_solution((2, 3), 2)
     assert (sol.n, sol.terms) == (9, (10, 11, 13, 14))
-    sol = family_solution(1, 5)
+    sol = tail_solution((3, 4), 3)
     assert (sol.n, sol.terms) == (15, (16, 17, 18, 21, 22))
-    sol = family_solution(0, 8)
+    sol = tail_solution((2, 3), 6)
     assert (sol.n, sol.terms) == (197, (198, 199, 200, 201, 202, 203, 205, 206))
-    assert family_solution(0, 5) is None
-    assert family_n(0, 5) is None
-    with pytest.raises(ValueError):
-        family_n(0, 1)
+    assert tail_solution((2, 3), 3) is None
+
+
+def test_tail_solution_domain():
+    # empty, repeated, decreasing, d_1 < 2, and a negative run length
+    for d, j in [((), 0), ((3, 3), 0), ((4, 3), 1), ((1, 3), 0), ((2, 3), -1)]:
+        with pytest.raises(ValueError):
+            tail_solution(d, j)
+    with pytest.raises(ValueError):  # u = -1 is the tail (1, 2)
+        solve_congruence(-1)
+
+
+def _split(sol):
+    """(d, j): the maximal leading run n+1..n+j and the tail offsets."""
+    j = 0
+    while j < sol.k and sol.terms[j] == sol.n + j + 1:
+        j += 1
+    return tuple(a - sol.n - j for a in sol.terms[j:]), j
+
+
+def test_tail_solution_matches_gap_search():
+    # two algorithms, both ways, for every k <= 10: each non-trivial
+    # enumerated solution is the tail solution of its own split, and each
+    # tail solution with offsets in 2..10 is enumerated
+    found = {k: enumerate_solutions(k) for k in range(2, 11)}
+    inside = 0  # enumerated solutions whose offsets lie in 2..10
+    for solutions in found.values():
+        for sol in solutions:
+            d, j = _split(sol)
+            if d:
+                assert tail_solution(d, j) == sol
+                inside += d[-1] <= 10
+    hits = 0
+    for mask in range(1, 1 << 9):
+        d = tuple(a for a in range(2, 11) if mask >> (a - 2) & 1)
+        for j in range(11 - len(d)):
+            sol = tail_solution(d, j)
+            if sol is not None:
+                assert sol in found[sol.k], (d, j)
+                hits += 1
+    assert hits == inside == 24
 
 
 def test_families_verify_along_progressions():
@@ -66,22 +104,22 @@ def test_families_verify_along_progressions():
             continue
         for t in range(3):
             k = k0 + t * r
-            sol = family_solution(u, k)
+            sol = tail_solution((u + 2, u + 3), k - 2)
             assert sol is not None
             assert sol.k == k
             assert sol.terms[-2:] == (sol.n + k + u, sol.n + k + u + 1)
             assert verify_solution(sol)
     # one larger instance: u=11 at its least k
-    sol = family_solution(11, 5531)
+    sol = tail_solution((13, 14), 5529)
     assert sol is not None and verify_solution(sol)
 
 
 def test_progression_membership_all_rows():
     for row in TABLE_ROWS:
-        assert congruence_holds(row.u, row.k0)
-        assert congruence_holds(row.u, row.k0 + row.r)
-        assert congruence_holds(row.u, row.k0 + 2 * row.r)
-        assert not congruence_holds(row.u, row.k0 + 1)
+        assert u_congruence_holds(row.u, row.k0)
+        assert u_congruence_holds(row.u, row.k0 + row.r)
+        assert u_congruence_holds(row.u, row.k0 + 2 * row.r)
+        assert not u_congruence_holds(row.u, row.k0 + 1)
 
 
 def test_check_row_accepts_the_full_table():
@@ -106,11 +144,11 @@ def test_embedded_rows_are_the_out_of_policy_ones():
     assert EMBEDDED_US == {99, 113, 119}
     for row in TABLE_ROWS:
         if row.u in EMBEDDED_US:
-            assert family_modulus(row.u) >= PROVEN_PRIME_LIMIT
+            assert u_modulus(row.u) >= PROVEN_PRIME_LIMIT
         else:
-            assert family_modulus(row.u) < PROVEN_PRIME_LIMIT
+            assert u_modulus(row.u) < PROVEN_PRIME_LIMIT
     # u=78 is the last modulus inside the policy
-    assert family_modulus(78) < PROVEN_PRIME_LIMIT <= family_modulus(79)
+    assert u_modulus(78) < PROVEN_PRIME_LIMIT <= u_modulus(79)
 
 
 @pytest.mark.parametrize(
@@ -181,7 +219,7 @@ def test_solve_congruence_never_factors_the_order(monkeypatch):
 
     monkeypatch.setattr("dyadicrep.congruence.factorize", recording)
     for u in range(26):
-        m = family_modulus(u)
+        m = u_modulus(u)
         want = Counter([m] + [p - 1 for p in real(m)])
         seen.clear()
         solve_congruence(u)
@@ -203,7 +241,7 @@ def _order_by_pow(m: int) -> int:
 
 def _sympy_moduli() -> list[int]:
     rng = random.Random(20201)
-    return [family_modulus(u) for u in range(79)] + [
+    return [u_modulus(u) for u in range(79)] + [
         rng.randrange(3, 1 << 64, 2) for _ in range(40)
     ]
 
@@ -222,7 +260,7 @@ def test_mult_order_domain():
         log2_mod(1, (1 << 82) - 3)
     # the embedded u=99 order is not halved: 2**(r/2) != 1 (mod M)
     u99 = table_row(99)
-    assert pow(2, u99.r // 2, family_modulus(99)) != 1
+    assert pow(2, u99.r // 2, u_modulus(99)) != 1
 
 
 def test_mult_order_matches_sympy():
@@ -284,7 +322,7 @@ def test_is_prime_against_trial_division():
 def test_factorize_round_trip():
     rng = random.Random(7)
     cases = [1, 2, 97 * 97, 1000003**3, 4294967311**2, 2**10 * 3**4]
-    cases += [family_modulus(67), family_modulus(72)]
+    cases += [u_modulus(67), u_modulus(72)]
     cases += [rng.randrange(1, 1 << 64) for _ in range(20)]
     for n in cases:
         got = factorize(n)

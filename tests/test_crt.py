@@ -10,7 +10,6 @@ from dyadicrep.congruence import (
     TABLE_ROWS,
     ProgressionRow,
     check_row,
-    congruence_holds,
     table_row,
 )
 from dyadicrep.arith import VerificationError
@@ -26,7 +25,7 @@ from known_solutions import (
     COMBINED_RESIDUE,
     COMPATIBLE_4SUBSETS,
 )
-from oracles import fold_rows
+from oracles import fold_rows, u_congruence_holds
 
 
 def test_class_validation():
@@ -87,7 +86,7 @@ def test_combined_class_golden():
     assert COMBINED_MODULUS == lcm(*(r.r for r in rows))
     for row in rows:
         assert COMBINED_RESIDUE % row.r == row.k0 % row.r
-        assert congruence_holds(row.u, COMBINED_RESIDUE)
+        assert u_congruence_holds(row.u, COMBINED_RESIDUE)
 
 
 def test_four_subset_scan_matches_golden():

@@ -12,7 +12,7 @@ from dyadicrep.bounds import (
     product_bound_holds,
     trivial_solution,
 )
-from dyadicrep.congruence import congruence_holds, family_solution
+from dyadicrep.congruence import tail_solution
 from dyadicrep.search import (
     PRUNE_RULES,
     _interval,
@@ -20,6 +20,7 @@ from dyadicrep.search import (
     run_search,
 )
 from known_solutions import MEDIUM_K, SMALL_K
+from oracles import u_congruence_holds
 
 
 def _as_pairs(solutions):
@@ -69,7 +70,11 @@ def _cross_check(k, count, family_ns):
     solutions = enumerate_solutions(k)
     assert len(solutions) == count
     assert trivial_solution(k) in solutions
-    families = [family_solution(u, k) for u in range(40) if congruence_holds(u, k)]
+    families = [
+        tail_solution((u + 2, u + 3), k - 2)
+        for u in range(40)
+        if u_congruence_holds(u, k)
+    ]
     assert [sol.n for sol in families] == family_ns
     for sol in families:
         assert sol in solutions
