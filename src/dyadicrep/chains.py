@@ -40,10 +40,6 @@ class ChainResult(NamedTuple):
     steps: list[ChainStep]
     exhausted: bool  # True when the budget stopped the chain early
 
-    @property
-    def depth(self) -> int:
-        return len(self.steps)
-
 
 _DIGEST_CHUNK = 4096
 
@@ -142,4 +138,4 @@ def representation_count_certificate(chain: ChainResult) -> int:
             if not sums_to(step.terms, step.source, e=step.source):
                 raise VerificationError(f"step {i} does not sum to its source")
         expect = step.last_term
-    return chain.depth + 1
+    return len(chain.steps) + 1

@@ -9,12 +9,12 @@ record of its "rows" with one rule for every cell: a list is space-joined,
 a bool is true/false, None is an empty cell.
 
 Exit codes: 0 success; 2 usage or validation error; 3 a term budget ran
-out or a parameter is outside the supported range; 4 a self-check failed
-on something about to be emitted (exact identity, modular identity, or
-the empirical window k+n <= a_k <= 2(k+n), whose violation would be a
-genuine discovery and is reported loudly); 141 the reader closed stdout
-before the whole payload was written, as `| head` does (128 + SIGPIPE,
-the status a shell shows for a writer killed by a closed pipe).
+out; 4 a self-check failed on something about to be emitted (exact
+identity, modular identity, or the empirical window k+n <= a_k <=
+2(k+n), whose violation would be a genuine discovery and is reported
+loudly); 141 the reader closed stdout before the whole payload was
+written, as `| head` does (128 + SIGPIPE, the status a shell shows for
+a writer killed by a closed pipe).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .arith import VerificationError
 from .chains import expand_chain, representation_count_certificate
-from .congruence import TABLE_ROWS, UnsupportedModulusError, table1
+from .congruence import TABLE_ROWS, table1
 from .crt import certify_multiplicity, scan_subsets
 from .greedy import DEFAULT_MAX_K, greedy_for_n, greedy_representation, sweep
 from .search import run_search
@@ -378,9 +378,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except UnsupportedModulusError as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

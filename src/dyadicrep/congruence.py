@@ -47,7 +47,6 @@ __all__ = [
     "log2_mod",
     "solve_congruence",
     "table1",
-    "table_row",
     "tail_solution",
 ]
 
@@ -311,13 +310,6 @@ TABLE_ROWS: tuple[ProgressionRow, ...] = (
 )
 
 
-def table_row(u: int) -> Optional[ProgressionRow]:
-    for row in TABLE_ROWS:
-        if row.u == u:
-            return row
-    return None
-
-
 # the last u whose modulus 2**(u+3) - 3 lies below PROVEN_PRIME_LIMIT (78)
 _COMPUTED_U_MAX = (PROVEN_PRIME_LIMIT + 2).bit_length() - 4
 
@@ -341,8 +333,8 @@ def table1(
         for row in map(solve_congruence, range(min(u_max, _COMPUTED_U_MAX) + 1))
         if row is not None
     ]
-    embedded = [u for u in sorted(EMBEDDED_US) if u <= u_max]
-    rows += [(table_row(u), "verified-constant") for u in embedded]
+    embedded = [row for row in TABLE_ROWS if _COMPUTED_U_MAX < row.u <= u_max]
+    rows += [(row, "verified-constant") for row in embedded]
     for row, _ in rows:
         check_row(row)
     count = u_max - _COMPUTED_U_MAX - len(embedded)

@@ -125,8 +125,9 @@ def certify_multiplicity(
     every row's r divides the class modulus and its least member k >= 2
     has k == k0 (mod r), so the whole class from k on lies in the row's
     progression, where 2**(k-1) == 2**(k0-1) (mod M) carries the
-    congruence over from k0; and k >= u+3, which keeps n positive in
-    tail_solution((u+2, u+3), k-2). Raises VerificationError on any failure.
+    congruence over from k0; and k >= u+3, stricter than the certificate
+    needs (n is positive wherever it is an integer), kept until a tail-row
+    certificate replaces it. Raises VerificationError on any failure.
     """
     by_u = {row.u: row for row in rows}
     checked = set()

@@ -189,7 +189,6 @@ def sweep(n_min: int, n_max: int, max_k: int = DEFAULT_MAX_K) -> list[SweepRow]:
     for n in range(n_min, n_max + 1):
         i, r, k, last = n + 1, n, 0, 0
         passed: list[tuple[int, int]] = []  # (state key, terms before it)
-        joins = True
         while r and k <= max_k:
             emitted, i1, r1 = _greedy_walk(i, r, 1, max_k - k, True, (i | 63) + 1)
             if emitted:
@@ -203,15 +202,14 @@ def sweep(n_min: int, n_max: int, max_k: int = DEFAULT_MAX_K) -> list[SweepRow]:
                     "exactness re-check"
                 )
             i, r, k = i1, r1, k + len(emitted)
-            if r and joins:
+            if r:
                 key = i * i + r  # one int per state: r <= i keeps keys apart
                 tail = rest.get(key)
                 if tail is None:
                     passed.append((key, k))
+                # once a tail overflows, later stored tails give the same total
                 elif k + tail[0] <= max_k + 1:
                     r, k, last = 0, k + tail[0], tail[1]
-                else:
-                    joins = False
         if not r:
             for key, before in passed:
                 rest[key] = (k - before, last)

@@ -2,7 +2,8 @@
 
 u_modulus and u_congruence_holds state Table 1's condition in the paper's
 own form, 3*2**(k-1) + 3u + 1 == 0 (mod 2**(u+3) - 3), independent of the
-library's tail form; one pow keeps the test cheap at any size of k. fold_rows
+library's tail form; one pow keeps the test cheap at any size of k.
+table_row looks a row up by u in the library's TABLE_ROWS. fold_rows
 intersects the progressions of table rows one row at a time, the
 plain reference that crt.scan_subsets must reproduce. tail_sum and
 HALF_PREFIXES give a number 1/2 + tail three distinct representations.
@@ -10,6 +11,7 @@ HALF_PREFIXES give a number 1/2 + tail three distinct representations.
 
 from fractions import Fraction
 
+from dyadicrep.congruence import TABLE_ROWS
 from dyadicrep.crt import CongruenceClass, crt_pair
 
 
@@ -22,6 +24,11 @@ def u_congruence_holds(u, k):
     """Whether 3*2**(k-1) + 3u + 1 == 0 (mod 2**(u+3) - 3)."""
     m = u_modulus(u)
     return (3 * pow(2, k - 1, m) + 3 * u + 1) % m == 0
+
+
+def table_row(u):
+    """The row of TABLE_ROWS for u, or None."""
+    return next((row for row in TABLE_ROWS if row.u == u), None)
 
 
 def fold_rows(rows):

@@ -24,7 +24,6 @@ from dyadicrep.congruence import (
     ProgressionRow,
     check_row,
     solve_congruence,
-    table_row,
     tail_solution,
 )
 from dyadicrep.congruence import TABLE_ROWS
@@ -44,7 +43,7 @@ from known_solutions import (
     SWEEP_PEAK_1E5,
     SWEEP_PEAKS,
 )
-from oracles import HALF_PREFIXES, fold_rows, tail_sum, tailed_terms
+from oracles import HALF_PREFIXES, fold_rows, table_row, tail_sum, tailed_terms
 
 
 @contextmanager

@@ -119,10 +119,10 @@ def test_verification_error_is_one_class_everywhere():
 
 def test_records_are_immutable_picklable_tuples():
     from dyadicrep.chains import expand_chain
-    from dyadicrep.congruence import table_row
     from dyadicrep.crt import CongruenceClass
     from dyadicrep.greedy import sweep
     from dyadicrep.search import run_search
+    from oracles import table_row
 
     chain = expand_chain(8, 1)
     rows = sweep(2, 20)

@@ -54,7 +54,7 @@ def test_three_representations_converge_below_2_pow_200():
 def test_expand_chain_depth_five_golden():
     chain = expand_chain(8, 5)
     assert not chain.exhausted
-    assert chain.depth == 5
+    assert len(chain.steps) == 5
     assert chain.start == 8
     assert [(s.k, s.last_term) for s in chain.steps] == list(CHAIN_8[:5])
     source = 8
@@ -82,7 +82,7 @@ def test_expand_chain_depth_one():
 def test_expand_chain_budget_exhaustion():
     chain = expand_chain(8, 3, max_k=50)
     assert chain.exhausted
-    assert chain.depth == 2  # step 3 would need 169 terms
+    assert len(chain.steps) == 2  # step 3 would need 169 terms
     assert [(s.k, s.last_term) for s in chain.steps] == list(CHAIN_8[:2])
     # the completed steps still certify
     assert representation_count_certificate(chain) == 3

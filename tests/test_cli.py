@@ -19,9 +19,10 @@ from dyadicrep.arith import VerificationError
 from dyadicrep.chains import ChainResult, expand_chain
 from dyadicrep.cli import build_parser, main
 from dyadicrep.congruence import (
+    PROVEN_PRIME_LIMIT,
     TABLE_ROWS,
     ProgressionRow,
-    UnsupportedModulusError,
+    log2_mod,
 )
 from dyadicrep.greedy import SweepRow, _greedy_walk, greedy_for_n, sweep
 from dyadicrep.search import PRUNE_RULES
@@ -267,8 +268,10 @@ def test_table1_corrupt_embedded_row_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(
         "dyadicrep.congruence.solve_congruence", lambda u: by_u.get(u)
     )
+    corrupt = ProgressionRow(99, 1, 4)  # the one embedded row up to u = 99
     monkeypatch.setattr(
-        "dyadicrep.congruence.table_row", lambda u: ProgressionRow(u, 1, 4)
+        "dyadicrep.congruence.TABLE_ROWS",
+        tuple(corrupt if row.u == 99 else row for row in TABLE_ROWS),
     )
     code, out, err = run_cli(capsys, "table1", "--u-max", "99")
     assert code == 4
@@ -284,14 +287,20 @@ def test_table1_corrupt_computed_row_exits_4(capsys, monkeypatch):
     assert "verification failure" in err
 
 
-def test_table1_unsupported_modulus_maps_to_exit_3(capsys, monkeypatch):
-    def boom(u):
-        raise UnsupportedModulusError("out of policy")
+def test_no_command_computes_past_the_proven_prime_policy(capsys, monkeypatch):
+    # no command reaches UnsupportedModulusError, so the CLI maps it to no
+    # exit code of its own; this fails once one could
+    moduli = []
 
-    monkeypatch.setattr("dyadicrep.congruence.solve_congruence", boom)
-    code, _, err = run_cli(capsys, "table1", "--u-max", "4")
-    assert code == 3
-    assert "unsupported:" in err
+    def recording(c, m):
+        moduli.append(m)
+        return log2_mod(c, m)
+
+    monkeypatch.setattr("dyadicrep.congruence.log2_mod", recording)
+    assert run_cli(capsys, "table1", "--u-max", "1000000000")[0] == 0
+    for size in range(1, 6):
+        assert run_cli(capsys, "multiplicity", "--subset-size", str(size))[0] == 0
+    assert moduli and max(moduli) < PROVEN_PRIME_LIMIT
 
 
 def test_table1_usage_error(capsys):

@@ -19,12 +19,11 @@ from dyadicrep.congruence import (
     log2_mod,
     solve_congruence,
     table1,
-    table_row,
     tail_solution,
 )
 from dyadicrep.search import enumerate_solutions
 from known_solutions import COMPUTED_ROWS
-from oracles import u_congruence_holds, u_modulus
+from oracles import table_row, u_congruence_holds, u_modulus
 
 
 def test_family_modulus():

@@ -10,7 +10,6 @@ from dyadicrep.congruence import (
     TABLE_ROWS,
     ProgressionRow,
     check_row,
-    table_row,
 )
 from dyadicrep.arith import VerificationError
 from dyadicrep.cli import main
@@ -25,7 +24,7 @@ from known_solutions import (
     COMBINED_RESIDUE,
     COMPATIBLE_4SUBSETS,
 )
-from oracles import fold_rows, u_congruence_holds
+from oracles import fold_rows, table_row, u_congruence_holds
 
 
 def test_class_validation():
