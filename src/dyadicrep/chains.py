@@ -65,7 +65,7 @@ def expand_chain(a_start: int, depth: int, max_k: int = DEFAULT_MAX_K) -> ChainR
     (step 1 expands a_start/2**a_start).
 
     Each step is verified on the spot: the expansion must sum exactly to
-    its source term (greedy_for_n re-checks this) and start strictly above
+    its source term (greedy_for_n certifies this) and start strictly above
     it. A budget exhaustion ends the chain early with exhausted=True and
     the completed steps intact.
     """

@@ -125,9 +125,11 @@ def certify_multiplicity(
     every row's r divides the class modulus and its least member k >= 2
     has k == k0 (mod r), so the whole class from k on lies in the row's
     progression, where 2**(k-1) == 2**(k0-1) (mod M) carries the
-    congruence over from k0; and k >= u+3, stricter than the certificate
-    needs (n is positive wherever it is an integer), kept until a tail-row
-    certificate replaces it. Raises VerificationError on any failure.
+    congruence over from k0. No k >= 2 needs a further bound: the family
+    at k is the tail d = (u+2, u+3) after a run of j = k-2 terms, any tail
+    has M < 2**d_r, so 2**s > 2M, and n = (2**s * (2**j - 1) + T - j*M)/M
+    is then positive for every j >= 1 (2**j - 1 >= j), and T/M > 0 at
+    j = 0. Raises VerificationError on any failure.
     """
     by_u = {row.u: row for row in rows}
     checked = set()
@@ -147,10 +149,6 @@ def certify_multiplicity(
                 raise VerificationError(
                     f"class {k_class.residue} mod {k_class.modulus} is not "
                     f"inside row u={u}'s progression"
-                )
-            if k < u + 3:
-                raise VerificationError(
-                    f"k={k} too small for a nondegenerate u={u} family"
                 )
         certs.append(1 + len(us))
     return certs

@@ -15,13 +15,17 @@ x_i = r/q, starting from the reduced fraction x_{k0}: doubling halves q
 while q is even and doubles r once q is odd, so no fraction arithmetic
 happens in the loop. For x = n/2**n the walk starts at q = 1, so its
 state is (i, r) alone, which lets a sweep over n share the tails of walks.
+
+One identity, in _certified_walk, certifies every block of a walk: a
+whole walk for greedy_for_n and greedy_representation, so the certificate
+sums exactly the terms they return, and each 64-aligned block of a sweep.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .arith import Solution, VerificationError, sums_to, verify_solution
+from .arith import Solution, VerificationError, sums_to
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -98,6 +102,28 @@ def _greedy_walk(
     return emitted, i, r
 
 
+def _certified_walk(
+    i: int, r: int, q: int, max_k: int, check: bool = True, stop: int = 0
+) -> tuple[list[int], int, int]:
+    """_greedy_walk from x_i = r/q, then, with check=True, a proof of the
+    block [i, i1) it walked. The value not yet expanded at index j is
+    x_j / 2**(j-1), so the terms must sum to the value the block removed,
+    ((r << (i1-i)) - (r1 << h)) / (q * 2**(i1-1)), where h = min(i1-i,
+    v2(q)) counts the halvings of q (h = 0 when q = 1 or r1 = 0); an empty
+    block must remove 0. Raises VerificationError otherwise.
+    """
+    emitted, i1, r1 = _greedy_walk(i, r, q, max_k, check, stop)
+    if check:
+        h = min(i1 - i, (q & -q).bit_length() - 1)
+        gone = (r << (i1 - i)) - (r1 << h)
+        if not (sums_to(emitted, gone, q, i1 - 1) if emitted else gone == 0):
+            raise VerificationError(
+                f"greedy walk block [{i}, {i1}) from {r}/{q} failed its "
+                "exactness re-check"
+            )
+    return emitted, i1, r1
+
+
 def greedy_representation(
     x: Fraction, max_k: int = DEFAULT_MAX_K
 ) -> Optional[tuple[int, ...]]:
@@ -106,23 +132,16 @@ def greedy_representation(
     Returns the emitted indices once the remainder hits zero, or None when
     the term budget runs out first (the outcome is then unknown, not a
     proof that no representation exists). The walk asserts the
-    feasibility invariant x_i < i+1 at every step, and the returned list
-    is re-verified to sum exactly to x.
+    feasibility invariant x_i < i+1 at every step, and _certified_walk
+    proves the returned list sums exactly to x.
     """
     x = _validate_x(x)
     if max_k < 1:
         raise ValueError("max_k must be positive")
     i = k_zero(x)
     start = x * (1 << (i - 1))
-    emitted, _, r = _greedy_walk(i, start.numerator, start.denominator, max_k, True)
-    if r:
-        return None
-    out = tuple(emitted)
-    if not sums_to(out, x.numerator, x.denominator):
-        raise VerificationError(
-            f"greedy expansion of {x} failed its exactness re-check"
-        )
-    return out
+    emitted, _, r = _certified_walk(i, start.numerator, start.denominator, max_k)
+    return None if r else tuple(emitted)
 
 
 def greedy_for_n(
@@ -132,22 +151,15 @@ def greedy_for_n(
 
     For these inputs the whole run is machine-integer arithmetic, and its
     first step always emits n+1 (2n - (n+1) = n - 1 >= 0). The walk
-    invariant and the exactness of the result are re-checked unless
-    check is False.
+    invariant and the exactness of the result are certified by
+    _certified_walk unless check is False.
     """
     if n < 2:
         raise ValueError("greedy_for_n needs n >= 2")
     if max_k < 1:
         raise ValueError("max_k must be positive")
-    emitted, _, r = _greedy_walk(n + 1, n, 1, max_k, check)
-    if r:
-        return None
-    sol = Solution(n, tuple(emitted))
-    if check and not verify_solution(sol):
-        raise VerificationError(
-            f"greedy expansion of {n}/2^{n} failed its exactness re-check"
-        )
-    return sol.k, sol
+    emitted, _, r = _certified_walk(n + 1, n, 1, max_k, check)
+    return None if r else (len(emitted), Solution(n, tuple(emitted)))
 
 
 class SweepRow(NamedTuple):
@@ -170,13 +182,10 @@ def sweep(n_min: int, n_max: int, max_k: int = DEFAULT_MAX_K) -> list[SweepRow]:
     and last term. If that total would break the budget, the walk goes on
     by itself, so an exhausted row reports its own partial walk.
 
-    Each block [i0, i1) of indices walked is certified as it ends: the
-    unexpanded value at index i is r/2**(i-1), so the block's terms must
-    sum to (r0 * 2**(i1-i0) - r1) / 2**(i1-1), and an empty block must
-    leave r1 = r0 * 2**(i1-i0). A terminated row's blocks, with those of
-    the walks it joined, telescope from n/2**n down to a zero remainder,
-    which proves it exact without re-summing its terms. Every step walked
-    asserts the feasibility invariant x_i < i+1.
+    _certified_walk proves each block as it ends. A terminated row's
+    blocks, with those of the walks it joined, telescope from n/2**n down
+    to a zero remainder, which proves it exact without re-summing its
+    terms.
     """
     if n_min < 2:
         raise ValueError("sweep starts at n >= 2")
@@ -190,17 +199,8 @@ def sweep(n_min: int, n_max: int, max_k: int = DEFAULT_MAX_K) -> list[SweepRow]:
         i, r, k, last = n + 1, n, 0, 0
         passed: list[tuple[int, int]] = []  # (state key, terms before it)
         while r and k <= max_k:
-            emitted, i1, r1 = _greedy_walk(i, r, 1, max_k - k, True, (i | 63) + 1)
-            if emitted:
-                exact = sums_to(emitted, (r << (i1 - i)) - r1, e=i1 - 1)
-                last = emitted[-1]
-            else:
-                exact = r << (i1 - i) == r1
-            if not exact:
-                raise VerificationError(
-                    f"greedy sweep block [{i}, {i1}) of n={n} failed its "
-                    "exactness re-check"
-                )
+            emitted, i1, r1 = _certified_walk(i, r, 1, max_k - k, stop=(i | 63) + 1)
+            last = emitted[-1] if emitted else last
             i, r, k = i1, r1, k + len(emitted)
             if r:
                 key = i * i + r  # one int per state: r <= i keeps keys apart

@@ -161,15 +161,6 @@ def test_certificate_rejects_tampering():
         representation_count_certificate(_with_terms(chain, 2, tuple(terms)))
 
 
-@pytest.mark.extended
-def test_expand_chain_depth_nine_golden():
-    # step 9 produces 1195089 terms, above the default budget
-    chain = expand_chain(8, 9, max_k=1 << 21)
-    assert not chain.exhausted
-    assert [(s.k, s.last_term) for s in chain.steps] == list(CHAIN_8)
-    assert representation_count_certificate(chain) == 10
-
-
 _C = _DIGEST_CHUNK
 
 

@@ -415,15 +415,18 @@ def test_chain_usage_errors(capsys, argv):
 # --- exit-code mapping ---------------------------------------------------------
 
 @pytest.mark.parametrize(
-    "argv", [("greedy", "--n", "41"), ("sweep", "2", "5", "--jobs", "1")]
+    "argv",
+    [
+        ("greedy", "--n", "41"),
+        ("sweep", "2", "5", "--jobs", "1"),
+        ("greedy", "--x", "3/8"),
+        ("chain", "8", "3"),
+    ],
 )
 def test_failed_greedy_recheck_exits_4(capsys, monkeypatch, argv):
-    # greedy --n re-checks the whole term list; the sweep certifies each
-    # block of indices it walks with sums_to
-    if argv[0] == "greedy":
-        monkeypatch.setattr("dyadicrep.greedy.verify_solution", lambda sol: False)
-    else:
-        monkeypatch.setattr("dyadicrep.greedy.sums_to", lambda *a, **k: False)
+    # every greedy walk, a chain step's included, is certified by the one
+    # sums_to call in greedy._certified_walk
+    monkeypatch.setattr("dyadicrep.greedy.sums_to", lambda *a, **k: False)
     code, out, err = run_cli(capsys, *argv)
     assert code == 4
     assert out == ""

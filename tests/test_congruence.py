@@ -88,6 +88,8 @@ def test_tail_solution_matches_gap_search():
     hits = 0
     for mask in range(1, 1 << 9):
         d = tuple(a for a in range(2, 11) if mask >> (a - 2) & 1)
+        m, _, s = _tail(d)
+        assert (1 << s) > 2 * m  # so every tail family has n > 0
         for j in range(11 - len(d)):
             sol = tail_solution(d, j)
             if sol is not None:

@@ -9,6 +9,7 @@ from dyadicrep.arith import VerificationError, verify_solution
 from dyadicrep.greedy import (
     DEFAULT_MAX_K,
     SweepRow,
+    _certified_walk,
     _greedy_walk,
     greedy_for_n,
     greedy_representation,
@@ -76,6 +77,19 @@ def test_walk_matches_state_recurrence(x, budget):
     assert fast == slow
     if fast is not None:
         assert sum(Fraction(a, 2**a) for a in fast) == x
+
+
+def test_certified_walk_proves_blocks_that_halve_the_denominator():
+    # 1999/1024 starts at k0 = 1 with q = 1024, so a block that ends before
+    # q turns odd leaves its remainder on a halved denominator
+    x = Fraction(1999, 1024)
+    assert k_zero(x) == 1
+    for stop in range(2, 30):
+        emitted, i1, r1 = _certified_walk(1, 1999, 1024, DEFAULT_MAX_K, stop=stop)
+        assert i1 == stop and r1
+        q1 = 1024 >> min(10, i1 - 1)
+        left = Fraction(r1, q1 << (i1 - 1))
+        assert sum(Fraction(a, 2**a) for a in emitted) == x - left
 
 
 def test_greedy_representation_known_traces():
