@@ -65,9 +65,10 @@ def expand_chain(a_start: int, depth: int, max_k: int = DEFAULT_MAX_K) -> ChainR
     (step 1 expands a_start/2**a_start).
 
     Each step is verified on the spot: the expansion must sum exactly to
-    its source term (greedy_for_n certifies this) and start strictly above
-    it. A budget exhaustion ends the chain early with exhausted=True and
-    the completed steps intact.
+    its source term (greedy_for_n certifies every walk it returns) and
+    start strictly above it. A walk that exhausts the budget ends the
+    chain early with exhausted=True; the completed steps stay intact and
+    the partial walk is dropped.
     """
     if a_start < 3:
         # term values strictly decrease only from index 3 on (2/2^2 == 1/2^1)
@@ -77,11 +78,9 @@ def expand_chain(a_start: int, depth: int, max_k: int = DEFAULT_MAX_K) -> ChainR
     source = a_start
     steps: list[ChainStep] = []
     for i in range(1, depth + 1):
-        got = greedy_for_n(source, max_k)
-        if got is None:
+        terms, terminated = greedy_for_n(source, max_k)
+        if not terminated:
             return ChainResult(a_start, steps, True)
-        k, sol = got
-        terms = sol.terms
         if terms[0] <= source:
             raise VerificationError(
                 f"step {i}: expansion starts at {terms[0]}, not above {source}"
@@ -90,7 +89,7 @@ def expand_chain(a_start: int, depth: int, max_k: int = DEFAULT_MAX_K) -> ChainR
             ChainStep(
                 index=i,
                 source=source,
-                k=k,
+                k=len(terms),
                 first_term=terms[0],
                 last_term=terms[-1],
                 digest=_digest(terms),

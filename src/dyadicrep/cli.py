@@ -110,25 +110,23 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
     parameters: dict = {"max_k": args.max_k}
     if args.n is not None:
         parameters["n"] = args.n
-        got = greedy_for_n(args.n, args.max_k)
-        terms = got[1].terms if got else None
+        terms, terminated = greedy_for_n(args.n, args.max_k)
     else:
-        from fractions import Fraction  # only --x needs it; see greedy._validate_x
+        from fractions import Fraction  # only --x needs it; see greedy._scan_k_zero
 
         try:
             x = Fraction(args.x)
         except ZeroDivisionError:
             raise ValueError("zero denominator") from None
         parameters["x"] = str(x)
-        terms = greedy_representation(x, args.max_k)
-    terminated = terms is not None
+        terms, terminated = greedy_representation(x, args.max_k)
     payload = {
         "command": "greedy",
         "parameters": parameters,
         "status": "ok" if terminated else "budget exhausted",
         "terminated": terminated,
-        "k": len(terms) if terminated else None,
-        "terms": list(terms) if terminated else None,
+        "k": len(terms),
+        "terms": list(terms),
     }
     columns = [("k", "k"), ("terminated", "terminated"), ("terms", "terms")]
     _emit(args, payload, columns, rows=[payload])

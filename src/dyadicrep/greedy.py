@@ -16,16 +16,18 @@ while q is even and doubles r once q is odd, so no fraction arithmetic
 happens in the loop. For x = n/2**n the walk starts at q = 1, so its
 state is (i, r) alone, which lets a sweep over n share the tails of walks.
 
-One identity, in _certified_walk, certifies every block of a walk: a
-whole walk for greedy_for_n and greedy_representation, so the certificate
-sums exactly the terms they return, and each 64-aligned block of a sweep.
+greedy_for_n and greedy_representation return (terms, terminated), the
+partial walk when the term budget runs out. Every walk asserts x_i < i+1
+at each step, and _certified_walk proves each block of it by one
+identity: a whole walk for those two, each 64-aligned block of a sweep.
+Neither check can be switched off.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import Solution, VerificationError, sums_to
+from .arith import VerificationError, sums_to
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -42,34 +44,34 @@ __all__ = [
 DEFAULT_MAX_K = 1 << 20
 
 
-def _validate_x(x: Fraction) -> Fraction:
-    from fractions import Fraction  # here: no other path needs it at start-up
-
-    x = Fraction(x)
-    if not 0 < x < 2:
-        raise ValueError("greedy expansion needs 0 < x < 2")
-    return x
-
-
-def k_zero(x: Fraction) -> int:
-    """Minimal k >= 1 with k/2**k strictly below x.
+def _scan_k_zero(x: Fraction) -> tuple[int, Fraction]:
+    """(k_zero(x), x as a Fraction), building and range-checking it once.
 
     Integer form of the scan: keep w = p * 2**i for x = p/q and advance
     while i/2**i >= p/q, i.e. while w <= i*q. The inequality is strict by
     construction, so x equal to a term value j/2**j scans past j.
     """
-    x = _validate_x(x)
+    from fractions import Fraction  # here: no other path needs it at start-up
+
+    x = Fraction(x)
+    if not 0 < x < 2:
+        raise ValueError("greedy expansion needs 0 < x < 2")
     p, q = x.numerator, x.denominator
     i = 1
     w = p << 1
     while w <= i * q:
         w <<= 1
         i += 1
-    return i
+    return i, x
+
+
+def k_zero(x: Fraction) -> int:
+    """Minimal k >= 1 with k/2**k strictly below x."""
+    return _scan_k_zero(x)[0]
 
 
 def _greedy_walk(
-    i: int, r: int, q: int, max_k: int, check: bool, stop: int = 0
+    i: int, r: int, q: int, max_k: int, stop: int = 0
 ) -> tuple[list[int], int, int]:
     """Core loop from x_i = r/q; returns (emitted, i, r) where it halted:
     r == 0 once the walk terminated, else i == stop or the budget ran out.
@@ -77,8 +79,8 @@ def _greedy_walk(
     omits q, so only a walk at q = 1 can resume from it.
 
     Doubling halves q while it is even and doubles r once it is odd, so
-    the power of two in q goes away one bit per step. With check=True the
-    feasibility invariant x_i < i+1 is asserted before every step.
+    the power of two in q goes away one bit per step. The feasibility
+    invariant x_i < i+1 is asserted before every step.
 
     The term budget is tested before each step (k <= max_k), so a run
     whose final, remainder-clearing emission is number max_k + 1 still
@@ -87,7 +89,7 @@ def _greedy_walk(
     emitted: list[int] = []
     k = 0
     while r and k <= max_k and i != stop:
-        if check and r >= (i + 1) * q:
+        if r >= (i + 1) * q:
             raise VerificationError(f"x_{i} >= {i + 1} (remainder {r}/{q})")
         if q & 1:
             r <<= 1
@@ -103,63 +105,61 @@ def _greedy_walk(
 
 
 def _certified_walk(
-    i: int, r: int, q: int, max_k: int, check: bool = True, stop: int = 0
+    i: int, r: int, q: int, max_k: int, stop: int = 0
 ) -> tuple[list[int], int, int]:
-    """_greedy_walk from x_i = r/q, then, with check=True, a proof of the
-    block [i, i1) it walked. The value not yet expanded at index j is
-    x_j / 2**(j-1), so the terms must sum to the value the block removed,
+    """_greedy_walk from x_i = r/q, then a proof of the block [i, i1) it
+    walked. The value not yet expanded at index j is x_j / 2**(j-1), so
+    the terms must sum to the value the block removed,
     ((r << (i1-i)) - (r1 << h)) / (q * 2**(i1-1)), where h = min(i1-i,
     v2(q)) counts the halvings of q (h = 0 when q = 1 or r1 = 0); an empty
     block must remove 0. Raises VerificationError otherwise.
     """
-    emitted, i1, r1 = _greedy_walk(i, r, q, max_k, check, stop)
-    if check:
-        h = min(i1 - i, (q & -q).bit_length() - 1)
-        gone = (r << (i1 - i)) - (r1 << h)
-        if not (sums_to(emitted, gone, q, i1 - 1) if emitted else gone == 0):
-            raise VerificationError(
-                f"greedy walk block [{i}, {i1}) from {r}/{q} failed its "
-                "exactness re-check"
-            )
+    emitted, i1, r1 = _greedy_walk(i, r, q, max_k, stop)
+    h = min(i1 - i, (q & -q).bit_length() - 1)
+    gone = (r << (i1 - i)) - (r1 << h)
+    if not (sums_to(emitted, gone, q, i1 - 1) if emitted else gone == 0):
+        raise VerificationError(
+            f"greedy walk block [{i}, {i1}) from {r}/{q} failed its "
+            "exactness re-check"
+        )
     return emitted, i1, r1
 
 
 def greedy_representation(
     x: Fraction, max_k: int = DEFAULT_MAX_K
-) -> Optional[tuple[int, ...]]:
-    """Greedy expansion of x as a sum of distinct terms a/2**a.
+) -> tuple[tuple[int, ...], bool]:
+    """Greedy expansion of x as a sum of distinct terms a/2**a, as
+    (terms, terminated).
 
-    Returns the emitted indices once the remainder hits zero, or None when
-    the term budget runs out first (the outcome is then unknown, not a
-    proof that no representation exists). The walk asserts the
-    feasibility invariant x_i < i+1 at every step, and _certified_walk
-    proves the returned list sums exactly to x.
+    terminated is True once the remainder hit zero; then the terms sum
+    exactly to x. Otherwise the term budget ran out first, after max_k + 1
+    terms, and the terms are that prefix of the walk (the outcome is then
+    unknown, not a proof that no representation exists). _certified_walk
+    proves the terms sum to the value they removed from x.
     """
-    x = _validate_x(x)
+    i, x = _scan_k_zero(x)
     if max_k < 1:
         raise ValueError("max_k must be positive")
-    i = k_zero(x)
     start = x * (1 << (i - 1))
     emitted, _, r = _certified_walk(i, start.numerator, start.denominator, max_k)
-    return None if r else tuple(emitted)
+    return tuple(emitted), not r
 
 
-def greedy_for_n(
-    n: int, max_k: int = DEFAULT_MAX_K, *, check: bool = True
-) -> Optional[tuple[int, Solution]]:
-    """Greedy expansion of n/2**n for n >= 2, as (k, Solution).
+def greedy_for_n(n: int, max_k: int = DEFAULT_MAX_K) -> tuple[tuple[int, ...], bool]:
+    """Greedy expansion of n/2**n for n >= 2, as (terms, terminated), with
+    the budget rule of greedy_representation.
 
     For these inputs the whole run is machine-integer arithmetic, and its
     first step always emits n+1 (2n - (n+1) = n - 1 >= 0). The walk
-    invariant and the exactness of the result are certified by
-    _certified_walk unless check is False.
+    invariant and the exactness of the terms are certified by
+    _certified_walk.
     """
     if n < 2:
         raise ValueError("greedy_for_n needs n >= 2")
     if max_k < 1:
         raise ValueError("max_k must be positive")
-    emitted, _, r = _certified_walk(n + 1, n, 1, max_k, check)
-    return None if r else (len(emitted), Solution(n, tuple(emitted)))
+    emitted, _, r = _certified_walk(n + 1, n, 1, max_k)
+    return tuple(emitted), not r
 
 
 class SweepRow(NamedTuple):

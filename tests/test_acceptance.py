@@ -113,8 +113,9 @@ def test_criterion_04_sweep_terminates_with_table_rows(sweep_2000):
         by_n = {r.n: r for r in sweep_2000}
         assert (by_n[56].k, by_n[56].last_term) == SWEEP_PEAKS[56] == (6092, 12230)
         # the second peak row sits past the 2000-sweep; run it directly
-        k, sol = greedy_for_n(3113)
-        assert (k, sol.terms[-1]) == SWEEP_PEAKS[3113] == (13370, 29752)
+        terms, terminated = greedy_for_n(3113)
+        assert terminated
+        assert (len(terms), terms[-1]) == SWEEP_PEAKS[3113] == (13370, 29752)
 
 
 def test_criterion_05_conjectured_window(sweep_2000):

@@ -106,8 +106,23 @@ def test_greedy_budget_exhaustion(capsys):
     payload = json.loads(out)
     assert payload["status"] == "budget exhausted"
     assert payload["terminated"] is False
-    assert payload["k"] is None and payload["terms"] is None
+    assert payload["k"] == 13 and tuple(payload["terms"]) == GREEDY_41[:13]
     assert "exhausted" in err
+
+
+@pytest.mark.parametrize(
+    "source, max_k", [(("--n", "41"), 12), (("--x", "1/32"), 5), (("--x", "1/32"), 1)]
+)
+def test_greedy_exhausted_payload_is_the_walk_prefix(capsys, source, max_k):
+    # as in an exhausted sweep row: the walk stops after emission max_k + 1
+    _, out, _ = run_cli(capsys, "greedy", *source)
+    whole = json.loads(out)
+    code, out, _ = run_cli(capsys, "greedy", *source, "--max-k", str(max_k))
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["terminated"] is False
+    assert payload["k"] == max_k + 1 < whole["k"]
+    assert payload["terms"] == whole["terms"][: max_k + 1]
 
 
 def test_greedy_x_csv_exact_bytes(capsys):
@@ -122,7 +137,8 @@ def test_greedy_x_exhausted_csv(capsys):
         capsys, "greedy", "--n", "41", "--max-k", "12", "--format", "csv"
     )
     assert code == 3
-    assert out == "k,terminated,terms\n,false,\n"
+    terms = " ".join(map(str, GREEDY_41[:13]))
+    assert out == f"k,terminated,terms\n13,false,{terms}\n"
 
 
 def test_greedy_x_reduces_and_matches_n(capsys):
@@ -161,8 +177,8 @@ def test_sweep_csv_matches_library(capsys):
     lines = out.splitlines()
     assert lines[0] == "n,k,a_k,terminated"
     for line, n in zip(lines[1:], range(2, 11)):
-        k, sol = greedy_for_n(n)
-        assert line == f"{n},{k},{sol.terms[-1]},true"
+        terms, _ = greedy_for_n(n)
+        assert line == f"{n},{len(terms)},{terms[-1]},true"
 
 
 def test_sweep_figures_exact_bytes(capsys):
@@ -467,8 +483,8 @@ def test_sweep_certificate_catches_a_corrupt_block(capsys, monkeypatch, corrupt)
     # emits terms; every other block is reported as walked
     corrupted = []
 
-    def lying_walk(i, r, q, max_k, check, stop=0):
-        got = _greedy_walk(i, r, q, max_k, check, stop)
+    def lying_walk(i, r, q, max_k, stop=0):
+        got = _greedy_walk(i, r, q, max_k, stop)
         if not corrupted and i >= 128 and got[0] and got[2]:
             corrupted.append(i)
             return corrupt(*got)
@@ -616,15 +632,15 @@ GOLDEN_PAYLOADS = {
     "enumerate 8 --jobs 1 --format csv": (0, "416899a10d0bc3986950b1532ebb7e6b96f6b480819264a53b9f3646ad32c142"),
     "greedy --n 41 --format json": (0, "010ef4e8a0e61a2a4bcb1325e7ca48eeb5ec905c5c6dde2f5aa1c4df18f3ddbe"),
     "greedy --n 41 --format csv": (0, "def096b8fd9c6ee01a42f289a972e6aa925912b53e42434642cdb7952a8c30cf"),
-    "greedy --n 41 --max-k 12 --format json": (3, "48fe979e533b9cf0f0386e8afa7e17718088827bb8b9c3a1682916cd41ffcd0f"),
-    "greedy --n 41 --max-k 12 --format csv": (3, "d3830bdc845dfc41725ff4e821f26207b9266ab9585f9ea61ceeb5623166c671"),
+    "greedy --n 41 --max-k 12 --format json": (3, "2560bb73a50ae27ebf7574d3a8d092354a0e24e95cbb5951d7db6475207d0846"),
+    "greedy --n 41 --max-k 12 --format csv": (3, "7f1713b524858992c5448826ccf568c36f2e524ec266da9507ae1f29485f0f96"),
     "greedy --x 1/32 --format json": (0, "0ed24aff7f6cb097a35d59d60a6c8a3aeb9f1bca76cab9660898c6bf3e85d9d9"),
     "greedy --x 1/32 --format csv": (0, "e404efd362ec0e8f845ccf3909341b0674517bd717a2c94032d1f676a74f0b5a"),
     # reduced starts whose denominators keep a large power of two
     "greedy --x 18446744073709551615/18446744073709551616 --format json": (0, "7e1cfe62ef56b46865e0908f4fa0c2d2bb1aa7207e215c412ae52e9fbe2ba81f"),
     "greedy --x 18446744073709551615/18446744073709551616 --format csv": (0, "37cfe44ba3ebd9fd566855b9eb51fde0865944251bb67d8f4c85671fa581b197"),
-    "greedy --x 18446744073709551625/55340232221128654848 --max-k 50 --format json": (3, "95c8c66542ab19db09a791c4f295405ea2984aeb712def3084d7a40f426bbab3"),
-    "greedy --x 18446744073709551625/55340232221128654848 --max-k 50 --format csv": (3, "d3830bdc845dfc41725ff4e821f26207b9266ab9585f9ea61ceeb5623166c671"),
+    "greedy --x 18446744073709551625/55340232221128654848 --max-k 50 --format json": (3, "d062dad7af0fb6646ef65adef1651caf92d387bd9aa0b2c55a386417c6831a5c"),
+    "greedy --x 18446744073709551625/55340232221128654848 --max-k 50 --format csv": (3, "1ad58df8e3efa3affa6c72fc022f95b738854bb9657ad97aec99530f0646411e"),
     "sweep 2 300 --jobs 1 --format json": (0, "c628fe7b190b81b73ac03f4cd26b85ae34b908924bc4c01b4a081fb945152baf"),
     "sweep 2 300 --jobs 1 --format csv": (0, "95f74c91ca0284259065ecd18429b30355f88b115ea7c16321e74fa25b978c5d"),
     "sweep 41 45 --max-k 5 --figures --jobs 1 --format json": (3, "b361f16269b01ac6ad7eda8639a6fbf86b8fca82cbc4feee5c275b979494d7b5"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyadicrep.arith import VerificationError, verify_solution
+from dyadicrep.arith import Solution, VerificationError, verify_solution
 from dyadicrep.greedy import (
     DEFAULT_MAX_K,
     SweepRow,
@@ -48,11 +48,11 @@ def test_k_zero_is_minimal(x):
 
 
 def _state_walk(x, budget):
-    """Reference expansion via the one-step Fraction recurrence."""
+    """Reference (terms, terminated) via the one-step Fraction recurrence."""
     s = start_state(x)
     while s.value and len(s.emitted) <= budget:
         s = advance(s)
-    return s.emitted if not s.value else None
+    return s.emitted, not s.value
 
 
 @given(
@@ -72,11 +72,12 @@ def _state_walk(x, budget):
 @example(Fraction(1, 3) + Fraction(3, 2**1000), 3000)
 @settings(deadline=None, max_examples=150)
 def test_walk_matches_state_recurrence(x, budget):
-    fast = greedy_representation(x, budget)
-    slow = _state_walk(x, budget)
-    assert fast == slow
-    if fast is not None:
-        assert sum(Fraction(a, 2**a) for a in fast) == x
+    terms, terminated = greedy_representation(x, budget)
+    assert (terms, terminated) == _state_walk(x, budget)
+    if terminated:
+        assert sum(Fraction(a, 2**a) for a in terms) == x
+    else:
+        assert len(terms) == budget + 1
 
 
 def test_certified_walk_proves_blocks_that_halve_the_denominator():
@@ -93,41 +94,44 @@ def test_certified_walk_proves_blocks_that_halve_the_denominator():
 
 
 def test_greedy_representation_known_traces():
-    assert greedy_representation(Fraction(1, 32)) == GREEDY_1_32
-    assert greedy_representation(Fraction(41, 2**41)) == GREEDY_41
+    assert greedy_representation(Fraction(1, 32)) == (GREEDY_1_32, True)
+    assert greedy_representation(Fraction(41, 2**41)) == (GREEDY_41, True)
     # 2/2^2 = 1/2 and the walk finds the shortest 1/2 expansion
-    assert greedy_representation(Fraction(1, 2)) == (3, 6, 8)
+    assert greedy_representation(Fraction(1, 2)) == ((3, 6, 8), True)
 
 
 def test_greedy_for_n_41_and_budget_boundary():
-    got = greedy_for_n(41)
-    assert got is not None
-    k, sol = got
-    assert k == 14
-    assert sol.terms == GREEDY_41
-    assert verify_solution(sol)
+    terms, terminated = greedy_for_n(41)
+    assert terminated
+    assert len(terms) == 14
+    assert terms == GREEDY_41
+    assert verify_solution(Solution(41, terms))
     # the 14th emission clears the remainder, so a budget of 13 still lands
-    assert greedy_for_n(41, 13) is not None
-    assert greedy_for_n(41, 12) is None
+    assert greedy_for_n(41, 13) == (GREEDY_41, True)
+    # a budget of 12 stops the walk after its 13th emission
+    assert greedy_for_n(41, 12) == (GREEDY_41[:13], False)
 
 
 def test_greedy_for_n_agrees_with_general_expansion():
     for n in range(2, 200):
-        k, sol = greedy_for_n(n)
-        assert sol.terms == greedy_representation(Fraction(n, 2**n))
-        assert sol.terms[0] == n + 1
-        assert k == len(sol.terms)
+        terms, terminated = greedy_for_n(n)
+        assert terminated
+        assert (terms, terminated) == greedy_representation(Fraction(n, 2**n))
+        assert terms[0] == n + 1
+        # a budget below the walk's length cuts the same walk short
+        budget = len(terms) // 2
+        cut = terms[: budget + 1]
+        assert greedy_for_n(n, budget) == (cut, cut == terms)
 
 
 @given(st.integers(min_value=2, max_value=3000))
 @settings(deadline=None, max_examples=80)
 def test_greedy_for_n_terminates_and_is_exact(n):
-    got = greedy_for_n(n)
-    assert got is not None
-    k, sol = got
-    assert k >= 2
-    assert sol.terms[0] == n + 1
-    assert verify_solution(sol)
+    terms, terminated = greedy_for_n(n)
+    assert terminated
+    assert len(terms) >= 2
+    assert terms[0] == n + 1
+    assert verify_solution(Solution(n, terms))
 
 
 def test_domain_errors():
@@ -153,17 +157,17 @@ def test_advance_guards():
 
 
 def test_walk_rejects_an_infeasible_start():
-    # x_3 = 4 breaks x_i < i+1; the checked walk stops before emitting
+    # x_3 = 4 breaks x_i < i+1; the walk stops before emitting
     with pytest.raises(VerificationError, match="x_3 >= 4"):
-        _greedy_walk(3, 4, 1, 10, True)
+        _greedy_walk(3, 4, 1, 10)
     # the same start over an even denominator: x_3 = 16/4
     with pytest.raises(VerificationError, match="x_3 >= 4"):
-        _greedy_walk(3, 16, 4, 10, True)
+        _greedy_walk(3, 16, 4, 10)
 
 
 def direct_row(n, max_k):
     """The sweep row of n from its own walk, with no shared states."""
-    emitted, _, r = _greedy_walk(n + 1, n, 1, max_k, False)
+    emitted, _, r = _greedy_walk(n + 1, n, 1, max_k)
     return SweepRow(n, len(emitted), emitted[-1], r == 0)
 
 
