@@ -36,11 +36,10 @@ def trivial_solution(k: int) -> Solution:
 
 
 def _ceil_2k_log2_k(k: int) -> int:
-    """Least integer m with 2**m >= k**(2k), i.e. ceil(2k * log2 k)."""
-    if k & (k - 1) == 0:
-        # k = 2**b makes 2k*log2(k) exact
-        return 2 * k * (k.bit_length() - 1)
-    return (k ** (2 * k) - 1).bit_length()
+    """Least integer m with 2**m >= k**(2k), i.e. ceil(2k * log2 k). For
+    k = 2**v * o with o odd, 2**v adds exactly 2k*v; only o**(2k) is built."""
+    v = (k & -k).bit_length() - 1
+    return 2 * k * v + ((k >> v) ** (2 * k) - 1).bit_length()
 
 
 def ak_bound_thm(n: int, k: int) -> int:
@@ -54,10 +53,8 @@ def ak_bound_thm(n: int, k: int) -> int:
 
 def ak_bound_cor(k: int) -> int:
     """n-free form of the last-term bound: least integer >=
-    2**(k+2) + 2k*(log2(k) - 1) - 4."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    return (1 << (k + 2)) - 2 * k - 4 + _ceil_2k_log2_k(k)
+    2**(k+2) + 2k*(log2(k) - 1) - 4, which is ak_bound_thm at n = max_n(k)."""
+    return 2 * max_n(k) + _ceil_2k_log2_k(k)
 
 
 def product_bound_holds(sol: Solution) -> bool:

@@ -112,7 +112,7 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
         parameters["n"] = args.n
         terms, terminated = greedy_for_n(args.n, args.max_k)
     else:
-        from fractions import Fraction  # only --x needs it; see greedy._scan_k_zero
+        from fractions import Fraction  # only --x needs it; see greedy_representation
 
         try:
             x = Fraction(args.x)

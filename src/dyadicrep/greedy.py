@@ -11,9 +11,9 @@ The run terminates exactly when some x_i hits 0, and the emitted indices
 are then a representation of x. Strictness in k0 means an x equal to some
 j/2**j is never expanded as the single term j; the walk starts past j
 (so 1/4 expands to {5, 6}, not {4}). The remainder is kept as integers
-x_i = r/q, starting from the reduced fraction x_{k0}: doubling halves q
-while q is even and doubles r once q is odd, so no fraction arithmetic
-happens in the loop. For x = n/2**n the walk starts at q = 1, so its
+x_i = r/q from r = p << (k0-1) for x = p/q: doubling halves q while q
+is even and doubles r once q is odd, so no fraction arithmetic happens
+in the loop. For x = n/2**n the walk starts at q = 1, so its
 state is (i, r) alone, which lets a sweep over n share the tails of walks.
 
 greedy_for_n and greedy_representation return (terms, terminated), the
@@ -37,37 +37,10 @@ __all__ = [
     "SweepRow",
     "greedy_for_n",
     "greedy_representation",
-    "k_zero",
     "sweep",
 ]
 
 DEFAULT_MAX_K = 1 << 20
-
-
-def _scan_k_zero(x: Fraction) -> tuple[int, Fraction]:
-    """(k_zero(x), x as a Fraction), building and range-checking it once.
-
-    Integer form of the scan: keep w = p * 2**i for x = p/q and advance
-    while i/2**i >= p/q, i.e. while w <= i*q. The inequality is strict by
-    construction, so x equal to a term value j/2**j scans past j.
-    """
-    from fractions import Fraction  # here: no other path needs it at start-up
-
-    x = Fraction(x)
-    if not 0 < x < 2:
-        raise ValueError("greedy expansion needs 0 < x < 2")
-    p, q = x.numerator, x.denominator
-    i = 1
-    w = p << 1
-    while w <= i * q:
-        w <<= 1
-        i += 1
-    return i, x
-
-
-def k_zero(x: Fraction) -> int:
-    """Minimal k >= 1 with k/2**k strictly below x."""
-    return _scan_k_zero(x)[0]
 
 
 def _greedy_walk(
@@ -131,17 +104,27 @@ def greedy_representation(
     """Greedy expansion of x as a sum of distinct terms a/2**a, as
     (terms, terminated).
 
-    terminated is True once the remainder hit zero; then the terms sum
-    exactly to x. Otherwise the term budget ran out first, after max_k + 1
-    terms, and the terms are that prefix of the walk (the outcome is then
-    unknown, not a proof that no representation exists). _certified_walk
-    proves the terms sum to the value they removed from x.
+    The first term is k0, the least index with k0/2**k0 strictly below x,
+    found for x = p/q by the integer test p << k0 > k0*q; the walk starts
+    from x_{k0} = (p << (k0-1))/q, with no fraction arithmetic after
+    parsing. terminated is True once the remainder hit zero; then the
+    terms sum exactly to x. Otherwise the term budget ran out first, after
+    max_k + 1 terms, and the terms are that prefix of the walk (the outcome
+    is then unknown, not a proof that no representation exists).
+    _certified_walk proves the terms sum to the value they removed from x.
     """
-    i, x = _scan_k_zero(x)
+    from fractions import Fraction  # here: no other path needs it at start-up
+
+    x = Fraction(x)
+    if not 0 < x < 2:
+        raise ValueError("greedy expansion needs 0 < x < 2")
     if max_k < 1:
         raise ValueError("max_k must be positive")
-    start = x * (1 << (i - 1))
-    emitted, _, r = _certified_walk(i, start.numerator, start.denominator, max_k)
+    p, q = x.numerator, x.denominator
+    i = 1
+    while p << i <= i * q:
+        i += 1
+    emitted, _, r = _certified_walk(i, p << (i - 1), q, max_k)
     return tuple(emitted), not r
 
 

@@ -5,7 +5,8 @@ One step on exact Fractions, straight from the definition:
     x_{i+1} = 2*x_i - i   and emit i,   if 2*x_i - i >= 0,
     x_{i+1} = 2*x_i                     otherwise,
 
-starting from x_{k0} = x * 2**(k0 - 1). The library's integer walk must
+starting from x_{k0} = x * 2**(k0 - 1), with k0 found from its definition
+rather than taken from the library. The library's integer walk must
 emit exactly the indices this recurrence emits.
 """
 
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from dyadicrep.arith import VerificationError
-from dyadicrep.greedy import k_zero
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,8 +27,13 @@ class GreedyState:
 
 
 def start_state(x: Fraction) -> GreedyState:
+    """The state at k0, the least j >= 1 with j/2**j < x."""
     x = Fraction(x)
-    i = k_zero(x)
+    if not 0 < x < 2:
+        raise ValueError("the walk needs 0 < x < 2")
+    i = 1
+    while Fraction(i, 2**i) >= x:
+        i += 1
     return GreedyState(i, x * (1 << (i - 1)), ())
 
 

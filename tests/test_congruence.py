@@ -26,14 +26,14 @@ from known_solutions import COMPUTED_ROWS
 from oracles import table_row, u_congruence_holds, u_modulus
 
 
-def test_family_modulus():
+def test_table1_tail_modulus():
     # Table 1's row u is the tail d = (u+2, u+3): M = 2**(u+3) - 3, T = 3u+7
     for u in (0, 1, 2, 55):
         assert _tail((u + 2, u + 3)) == (u_modulus(u), 3 * u + 7, u + 4)
     assert [u_modulus(u) for u in range(3)] == [5, 13, 29]
 
 
-def test_congruence_holds_examples():
+def test_tail_solution_matches_u_congruence():
     assert u_congruence_holds(0, 4)
     assert u_congruence_holds(0, 8)
     assert not u_congruence_holds(0, 5)
@@ -172,7 +172,7 @@ def test_table1_rows_and_skipped_range(u_max, skipped):
         assert status == ("computed" if row.u <= 78 else "verified-constant")
 
 
-def test_table_row_lookup():
+def test_oracle_table_row_lookup():
     assert table_row(0) == ProgressionRow(0, 4, 4)
     assert table_row(5) is None
     assert table_row(99).r == 2535300206192230667655098198606
@@ -247,12 +247,12 @@ def _sympy_moduli() -> list[int]:
     ]
 
 
-def test_mult_order_against_pow_scan():
+def test_log2_mod_order_against_pow_scan():
     for m in range(3, 1002, 2):
         assert _order(m) == _order_by_pow(m)
 
 
-def test_mult_order_domain():
+def test_log2_mod_domain():
     with pytest.raises(ValueError):
         log2_mod(1, 10)
     with pytest.raises(ValueError):
@@ -264,7 +264,7 @@ def test_mult_order_domain():
     assert pow(2, u99.r // 2, u_modulus(99)) != 1
 
 
-def test_mult_order_matches_sympy():
+def test_log2_mod_order_matches_sympy():
     sympy = pytest.importorskip("sympy")
     for m in _sympy_moduli():
         assert _order(m) == sympy.n_order(2, m)

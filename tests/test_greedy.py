@@ -13,26 +13,30 @@ from dyadicrep.greedy import (
     _greedy_walk,
     greedy_for_n,
     greedy_representation,
-    k_zero,
     sweep,
 )
 from greedy_reference import GreedyState, advance, start_state
 from known_solutions import GREEDY_1_32, GREEDY_41
 
 
+def _k_zero(x):
+    """The paper's k0, which the walk always emits as its first term."""
+    return greedy_representation(x, 1)[0][0]
+
+
 def test_k_zero_values():
-    assert k_zero(Fraction(7, 8)) == 1
-    assert k_zero(Fraction(3, 10)) == 4
-    # strictness: x equal to a term value scans past its own index
-    assert k_zero(Fraction(1, 2)) == 3
-    assert k_zero(Fraction(1, 4)) == 5
-    assert k_zero(Fraction(3, 8)) == 4
+    assert _k_zero(Fraction(7, 8)) == 1
+    assert _k_zero(Fraction(3, 10)) == 4
+    # strictness: x equal to a term value starts past its own index
+    assert _k_zero(Fraction(1, 2)) == 3
+    assert _k_zero(Fraction(1, 4)) == 5
+    assert _k_zero(Fraction(3, 8)) == 4
 
 
 def test_k_zero_domain():
     for bad in (Fraction(0), Fraction(2), Fraction(5, 2), Fraction(-1, 4)):
         with pytest.raises(ValueError):
-            k_zero(bad)
+            greedy_representation(bad, 1)
 
 
 @given(
@@ -41,10 +45,11 @@ def test_k_zero_domain():
     ).filter(lambda x: x < 2)
 )
 def test_k_zero_is_minimal(x):
-    j = k_zero(x)
+    j = _k_zero(x)
     assert Fraction(j, 2**j) < x
     if j > 1:
         assert Fraction(j - 1, 2 ** (j - 1)) >= x
+    assert start_state(x).index == j
 
 
 def _state_walk(x, budget):
@@ -84,7 +89,7 @@ def test_certified_walk_proves_blocks_that_halve_the_denominator():
     # 1999/1024 starts at k0 = 1 with q = 1024, so a block that ends before
     # q turns odd leaves its remainder on a halved denominator
     x = Fraction(1999, 1024)
-    assert k_zero(x) == 1
+    assert _k_zero(x) == 1
     for stop in range(2, 30):
         emitted, i1, r1 = _certified_walk(1, 1999, 1024, DEFAULT_MAX_K, stop=stop)
         assert i1 == stop and r1
