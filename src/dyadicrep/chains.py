@@ -21,13 +21,11 @@ __all__ = [
 
 
 class ChainStep(NamedTuple):
-    """One expansion step: the term a/2**a with a == source expanded into a
-    k-term greedy representation running from first_term to last_term.
-    Full terms are kept only for shallow steps; the digest (sha256 of the
-    comma-joined list) always survives."""
+    """One step: the previous step's last term a (the chain's start for
+    step 1), with a/2**a expanded into a k-term greedy representation from
+    first_term to last_term. Only shallow steps keep their full terms; the
+    digest (sha256 of the comma-joined list) always survives."""
 
-    index: int
-    source: int
     k: int
     first_term: int
     last_term: int
@@ -64,11 +62,11 @@ def expand_chain(a_start: int, depth: int, max_k: int = DEFAULT_MAX_K) -> ChainR
     """Iterated greedy expansion: step i expands the last term of step i-1
     (step 1 expands a_start/2**a_start).
 
-    Each step is verified on the spot: the expansion must sum exactly to
-    its source term (greedy_for_n certifies every walk it returns) and
-    start strictly above it. A walk that exhausts the budget ends the
-    chain early with exhausted=True; the completed steps stay intact and
-    the partial walk is dropped.
+    Each step is verified on the spot: greedy_for_n certifies that every
+    walk it returns sums exactly to its source term, and its first term,
+    source + 1, lies strictly above it. A walk that exhausts the budget
+    ends the chain early with exhausted=True; the completed steps stay
+    intact and the partial walk is dropped.
     """
     if a_start < 3:
         # term values strictly decrease only from index 3 on (2/2^2 == 1/2^1)
@@ -81,14 +79,8 @@ def expand_chain(a_start: int, depth: int, max_k: int = DEFAULT_MAX_K) -> ChainR
         terms, terminated = greedy_for_n(source, max_k)
         if not terminated:
             return ChainResult(a_start, steps, True)
-        if terms[0] <= source:
-            raise VerificationError(
-                f"step {i}: expansion starts at {terms[0]}, not above {source}"
-            )
         steps.append(
             ChainStep(
-                index=i,
-                source=source,
                 k=len(terms),
                 first_term=terms[0],
                 last_term=terms[-1],
@@ -106,22 +98,17 @@ def representation_count_certificate(chain: ChainResult) -> int:
     unexpanded term counts as its own one-term representation).
 
     Replacing the last term of representation i-1 by expansion i gives a
-    strictly longer representation of the same value, so the certificate
-    checks the chaining (each step expands exactly the previous last term,
-    starting strictly above it, so term lists stay strictly increasing)
-    and re-verifies the exactness of every step that kept its terms.
+    strictly longer representation of the same value. Step i's source is
+    the previous step's last term (the start for step 1), so the
+    certificate checks that each step starts strictly above that source,
+    which keeps term lists strictly increasing, and re-verifies against it
+    the exactness of every step that kept its terms.
     """
     if not chain.steps:
         raise VerificationError("empty chain certifies nothing")
-    expect = chain.start
+    source = chain.start
     for i, step in enumerate(chain.steps, start=1):
-        if step.index != i:
-            raise VerificationError(f"step {i} mislabeled as {step.index}")
-        if step.source != expect:
-            raise VerificationError(
-                f"step {i} expands {step.source}, expected {expect}"
-            )
-        if not step.source < step.first_term <= step.last_term:
+        if not source < step.first_term <= step.last_term:
             raise VerificationError(f"step {i} is not strictly above its source")
         if step.k < 2:
             raise VerificationError(f"step {i} has fewer than two terms")
@@ -134,7 +121,7 @@ def representation_count_certificate(chain: ChainResult) -> int:
                 raise VerificationError(f"step {i} digest mismatch")
             if any(b <= a for a, b in zip(step.terms, step.terms[1:])):
                 raise VerificationError(f"step {i} terms are out of order")
-            if not sums_to(step.terms, step.source, e=step.source):
+            if not sums_to(step.terms, source, e=source):
                 raise VerificationError(f"step {i} does not sum to its source")
-        expect = step.last_term
+        source = step.last_term
     return len(chain.steps) + 1

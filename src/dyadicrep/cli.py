@@ -228,19 +228,11 @@ def _cmd_multiplicity(args: argparse.Namespace) -> int:
 def _cmd_chain(args: argparse.Namespace) -> int:
     chain = expand_chain(args.a_start, args.depth, args.max_k)
     certificate = representation_count_certificate(chain) if chain.steps else None
-    recs = []
-    for s in chain.steps:
-        rec = {
-            "i": s.index,
-            "source": s.source,
-            "k": s.k,
-            "first_term": s.first_term,
-            "last_term": s.last_term,
-            "digest": s.digest,
-        }
-        if s.terms is not None:
-            rec["terms"] = list(s.terms)
-        recs.append(rec)
+    recs, source = [], chain.start
+    for i, s in enumerate(chain.steps, start=1):
+        fields = {key: v for key, v in s._asdict().items() if v is not None}
+        recs.append({"i": i, "source": source, **fields})
+        source = s.last_term
     payload = {
         "command": "chain",
         "parameters": {
@@ -303,7 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("greedy", help="greedy expansion of n/2^n or of x")
     p.add_argument("--n", type=int, help="expand n/2^n (n >= 2)")
-    p.add_argument("--x", metavar="P/Q", help="expand the fraction P/Q, 0 < x < 2")
+    p.add_argument(
+        "--x",
+        metavar="P/Q",
+        help="expand the fraction P/Q, 0 < x < 2; a non-dyadic x never "
+        "terminates and exits 3 at the budget",
+    )
     p.add_argument(
         "--max-k", type=int, default=DEFAULT_MAX_K, help="term budget"
     )

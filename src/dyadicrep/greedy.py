@@ -19,8 +19,8 @@ state is (i, r) alone, which lets a sweep over n share the tails of walks.
 greedy_for_n and greedy_representation return (terms, terminated), the
 partial walk when the term budget runs out. Every walk asserts x_i < i+1
 at each step, and _certified_walk proves each block of it by one
-identity: a whole walk for those two, each 64-aligned block of a sweep.
-Neither check can be switched off.
+identity: a whole walk for greedy_for_n, each 64-aligned block for
+greedy_representation and sweep. Neither check can be switched off.
 """
 
 from __future__ import annotations
@@ -111,7 +111,8 @@ def greedy_representation(
     terms sum exactly to x. Otherwise the term budget ran out first, after
     max_k + 1 terms, and the terms are that prefix of the walk (the outcome
     is then unknown, not a proof that no representation exists).
-    _certified_walk proves the terms sum to the value they removed from x.
+    _certified_walk proves each 64-aligned block of the walk in turn;
+    between blocks, q loses the factors of two the block halved away.
     """
     from fractions import Fraction  # here: no other path needs it at start-up
 
@@ -124,8 +125,13 @@ def greedy_representation(
     i = 1
     while p << i <= i * q:
         i += 1
-    emitted, _, r = _certified_walk(i, p << (i - 1), q, max_k)
-    return tuple(emitted), not r
+    r, terms = p << (i - 1), []
+    while r and len(terms) <= max_k:
+        emitted, i1, r = _certified_walk(i, r, q, max_k - len(terms), stop=(i | 63) + 1)
+        terms += emitted
+        q >>= min(i1 - i, (q & -q).bit_length() - 1)
+        i = i1
+    return tuple(terms), not r
 
 
 def greedy_for_n(n: int, max_k: int = DEFAULT_MAX_K) -> tuple[tuple[int, ...], bool]:

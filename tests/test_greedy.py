@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyadicrep.arith import Solution, VerificationError, verify_solution
+from dyadicrep.arith import Solution, VerificationError, sums_to, verify_solution
 from dyadicrep.greedy import (
     DEFAULT_MAX_K,
     SweepRow,
@@ -96,6 +96,23 @@ def test_certified_walk_proves_blocks_that_halve_the_denominator():
         q1 = 1024 >> min(10, i1 - 1)
         left = Fraction(r1, q1 << (i1 - 1))
         assert sum(Fraction(a, 2**a) for a in emitted) == x - left
+
+
+def test_greedy_representation_certifies_blocks_of_under_64_indices(monkeypatch):
+    # a re-sum costs time quadratic in its span, so the walk proves itself
+    # block by block: 1/3 runs to its budget, and 1 - 2**-1000 halves q for
+    # its first 1,000 steps before it terminates
+    recorded = []
+
+    def record(terms, *args, **kwargs):
+        recorded.append(list(terms))
+        return sums_to(terms, *args, **kwargs)
+
+    monkeypatch.setattr("dyadicrep.greedy.sums_to", record)
+    assert not greedy_representation(Fraction(1, 3), 5000)[1]
+    assert greedy_representation(Fraction(2**1000 - 1, 2**1000))[1]
+    assert len(recorded) > 2
+    assert all(terms[-1] - terms[0] < 64 for terms in recorded)
 
 
 def test_greedy_representation_known_traces():
