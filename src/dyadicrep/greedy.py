@@ -13,8 +13,7 @@ j/2**j is never expanded as the single term j; the walk starts past j
 (so 1/4 expands to {5, 6}, not {4}). The remainder is kept as integers
 x_i = r/q from r = p << (k0-1) for x = p/q: doubling halves q while q
 is even and doubles r once q is odd, so no fraction arithmetic happens
-in the loop. For x = n/2**n the walk starts at q = 1, so its
-state is (i, r) alone, which lets a sweep over n share the tails of walks.
+in the loop. At q = 1, as for x = n/2**n, the state is (i, r) alone.
 
 greedy_for_n and greedy_representation return (terms, terminated), the
 partial walk when the term budget runs out. Every walk asserts x_i < i+1
@@ -45,11 +44,10 @@ DEFAULT_MAX_K = 1 << 20
 
 def _greedy_walk(
     i: int, r: int, q: int, max_k: int, stop: int = 0
-) -> tuple[list[int], int, int]:
-    """Core loop from x_i = r/q; returns (emitted, i, r) where it halted:
-    r == 0 once the walk terminated, else i == stop or the budget ran out.
-    The default stop = 0 is never reached (i >= 1). The state returned
-    omits q, so only a walk at q = 1 can resume from it.
+) -> tuple[list[int], int, int, int]:
+    """Core loop from x_i = r/q; returns (emitted, i, r, q) where it
+    halted: r == 0 once the walk terminated, else i == stop or the budget
+    ran out. The default stop = 0 is never reached (i >= 1).
 
     Doubling halves q while it is even and doubles r once it is odd, so
     the power of two in q goes away one bit per step. The feasibility
@@ -74,28 +72,26 @@ def _greedy_walk(
             k += 1
             r = t
         i += 1
-    return emitted, i, r
+    return emitted, i, r, q
 
 
 def _certified_walk(
     i: int, r: int, q: int, max_k: int, stop: int = 0
-) -> tuple[list[int], int, int]:
+) -> tuple[list[int], int, int, int]:
     """_greedy_walk from x_i = r/q, then a proof of the block [i, i1) it
-    walked. The value not yet expanded at index j is x_j / 2**(j-1), so
-    the terms must sum to the value the block removed,
-    ((r << (i1-i)) - (r1 << h)) / (q * 2**(i1-1)), where h = min(i1-i,
-    v2(q)) counts the halvings of q (h = 0 when q = 1 or r1 = 0); an empty
-    block must remove 0. Raises VerificationError otherwise.
+    walked against the state (i1, r1, q1) it hands on. The value not yet
+    expanded at index j is x_j / 2**(j-1), so the terms must sum to
+    r/(q * 2**(i-1)) - r1/(q1 * 2**(i1-1)); an empty block must remove 0.
+    Raises VerificationError otherwise.
     """
-    emitted, i1, r1 = _greedy_walk(i, r, q, max_k, stop)
-    h = min(i1 - i, (q & -q).bit_length() - 1)
-    gone = (r << (i1 - i)) - (r1 << h)
-    if not (sums_to(emitted, gone, q, i1 - 1) if emitted else gone == 0):
+    emitted, i1, r1, q1 = _greedy_walk(i, r, q, max_k, stop)
+    gone = (r * q1 << (i1 - i)) - r1 * q
+    if not (sums_to(emitted, gone, q * q1, i1 - 1) if emitted else gone == 0):
         raise VerificationError(
             f"greedy walk block [{i}, {i1}) from {r}/{q} failed its "
             "exactness re-check"
         )
-    return emitted, i1, r1
+    return emitted, i1, r1, q1
 
 
 def greedy_representation(
@@ -111,8 +107,8 @@ def greedy_representation(
     terms sum exactly to x. Otherwise the term budget ran out first, after
     max_k + 1 terms, and the terms are that prefix of the walk (the outcome
     is then unknown, not a proof that no representation exists).
-    _certified_walk proves each 64-aligned block of the walk in turn;
-    between blocks, q loses the factors of two the block halved away.
+    _certified_walk proves each 64-aligned block of the walk in turn, and
+    the next block starts from the state (i, r, q) the last one handed on.
     """
     from fractions import Fraction  # here: no other path needs it at start-up
 
@@ -127,10 +123,8 @@ def greedy_representation(
         i += 1
     r, terms = p << (i - 1), []
     while r and len(terms) <= max_k:
-        emitted, i1, r = _certified_walk(i, r, q, max_k - len(terms), stop=(i | 63) + 1)
+        emitted, i, r, q = _certified_walk(i, r, q, max_k - len(terms), stop=(i | 63) + 1)
         terms += emitted
-        q >>= min(i1 - i, (q & -q).bit_length() - 1)
-        i = i1
     return tuple(terms), not r
 
 
@@ -147,7 +141,7 @@ def greedy_for_n(n: int, max_k: int = DEFAULT_MAX_K) -> tuple[tuple[int, ...], b
         raise ValueError("greedy_for_n needs n >= 2")
     if max_k < 1:
         raise ValueError("max_k must be positive")
-    emitted, _, r = _certified_walk(n + 1, n, 1, max_k)
+    emitted, _, r, _ = _certified_walk(n + 1, n, 1, max_k)
     return tuple(emitted), not r
 
 
@@ -188,9 +182,9 @@ def sweep(n_min: int, n_max: int, max_k: int = DEFAULT_MAX_K) -> list[SweepRow]:
         i, r, k, last = n + 1, n, 0, 0
         passed: list[tuple[int, int]] = []  # (state key, terms before it)
         while r and k <= max_k:
-            emitted, i1, r1 = _certified_walk(i, r, 1, max_k - k, stop=(i | 63) + 1)
+            emitted, i, r, _ = _certified_walk(i, r, 1, max_k - k, stop=(i | 63) + 1)
             last = emitted[-1] if emitted else last
-            i, r, k = i1, r1, k + len(emitted)
+            k += len(emitted)
             if r:
                 key = i * i + r  # one int per state: r <= i keeps keys apart
                 tail = rest.get(key)

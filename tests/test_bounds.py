@@ -107,6 +107,20 @@ def test_product_bound_rejects_bad_divisibility():
     assert not product_bound_holds(Solution(1, (5, 7)))
 
 
+def test_product_bound_rejects_a_product_too_small():
+    # 4 divides 96, but 2**(96 - 2) exceeds the product 96 * 96
+    assert not product_bound_holds(Solution(1, (2, 94, 96)))
+
+
+def test_bound_domain_errors():
+    with pytest.raises(ValueError):
+        max_n(1)
+    with pytest.raises(ValueError):
+        ak_bound_thm(0, 3)
+    with pytest.raises(ValueError):
+        ak_bound_thm(3, 1)
+
+
 def test_corollary_bound_rejects_oversized_gap():
     # 64**1 * 2**5 < 2**64, so the last term is far too large
     assert not _corollary_bound_holds(Solution(1, (5, 64)))

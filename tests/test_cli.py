@@ -459,8 +459,8 @@ def test_failed_search_post_check_exits_4(capsys, monkeypatch):
 
 def test_failed_greedy_x_recheck_exits_4(capsys, monkeypatch):
     def drop_last_term(*args):
-        emitted, i, r = _greedy_walk(*args)
-        return emitted[:-1], i, r
+        emitted, i, r, q = _greedy_walk(*args)
+        return emitted[:-1], i, r, q
 
     monkeypatch.setattr("dyadicrep.greedy._greedy_walk", drop_last_term)
     code, out, err = run_cli(capsys, "greedy", "--x", "3/8")
@@ -469,15 +469,21 @@ def test_failed_greedy_x_recheck_exits_4(capsys, monkeypatch):
     assert "verification failure" in err and "re-check" in err
 
 
-def drop_an_index(emitted, i, r):
-    return emitted[1:], i, r
+def drop_an_index(emitted, i, r, q):
+    return emitted[1:], i, r, q
 
 
-def shift_the_remainder(emitted, i, r):
-    return emitted, i, r + 1
+def shift_the_remainder(emitted, i, r, q):
+    return emitted, i, r + 1, q
 
 
-@pytest.mark.parametrize("corrupt", [drop_an_index, shift_the_remainder])
+def double_the_denominator(emitted, i, r, q):
+    return emitted, i, r, 2 * q
+
+
+@pytest.mark.parametrize(
+    "corrupt", [drop_an_index, shift_the_remainder, double_the_denominator]
+)
 def test_sweep_certificate_catches_a_corrupt_block(capsys, monkeypatch, corrupt):
     # the walk lies about one block past the first of n = 30, a block that
     # emits terms; every other block is reported as walked

@@ -91,9 +91,9 @@ def test_certified_walk_proves_blocks_that_halve_the_denominator():
     x = Fraction(1999, 1024)
     assert _k_zero(x) == 1
     for stop in range(2, 30):
-        emitted, i1, r1 = _certified_walk(1, 1999, 1024, DEFAULT_MAX_K, stop=stop)
+        emitted, i1, r1, q1 = _certified_walk(1, 1999, 1024, DEFAULT_MAX_K, stop=stop)
         assert i1 == stop and r1
-        q1 = 1024 >> min(10, i1 - 1)
+        assert q1 == 1024 >> min(10, i1 - 1)
         left = Fraction(r1, q1 << (i1 - 1))
         assert sum(Fraction(a, 2**a) for a in emitted) == x - left
 
@@ -164,6 +164,8 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         greedy_representation(Fraction(3))
     with pytest.raises(ValueError):
+        greedy_representation(Fraction(1, 3), 0)
+    with pytest.raises(ValueError):
         sweep(1, 5)
     with pytest.raises(ValueError):
         sweep(5, 4)
@@ -189,7 +191,7 @@ def test_walk_rejects_an_infeasible_start():
 
 def direct_row(n, max_k):
     """The sweep row of n from its own walk, with no shared states."""
-    emitted, _, r = _greedy_walk(n + 1, n, 1, max_k)
+    emitted, _, r, _ = _greedy_walk(n + 1, n, 1, max_k)
     return SweepRow(n, len(emitted), emitted[-1], r == 0)
 
 
