@@ -158,17 +158,17 @@ class SweepRow(NamedTuple):
 def sweep(n_min: int, n_max: int, max_k: int = DEFAULT_MAX_K) -> list[SweepRow]:
     """Greedy stats for every n in [n_min, n_max], in n order.
 
-    The walk of n/2**n keeps q = 1, so its state is (i, r) alone, and two
-    walks that reach one state end alike. Each walk stops at the first
-    index i divisible by 64 whose state an earlier walk of this call passed
-    on its way to termination, and takes that walk's remaining term count
-    and last term. If that total would break the budget, the walk goes on
-    by itself, so an exhausted row reports its own partial walk.
+    Each block resumes from the state (i, r, q) the last one handed on, and
+    n/2**n keeps q = 1, where two walks that reach one state end alike. A
+    walk stops at the first index i divisible by 64 whose q = 1 state an
+    earlier walk of this call passed on its way to termination, and takes
+    that walk's remaining term count and last term. If that total would
+    break the budget, the walk goes on by itself, so an exhausted row
+    reports its own partial walk.
 
-    _certified_walk proves each block as it ends. A terminated row's
-    blocks, with those of the walks it joined, telescope from n/2**n down
-    to a zero remainder, which proves it exact without re-summing its
-    terms.
+    _certified_walk proves each block against the state it hands on, so a
+    terminated row's blocks, with those of the walks it joined, telescope
+    from n/2**n to a zero remainder: it is exact without re-summing terms.
     """
     if n_min < 2:
         raise ValueError("sweep starts at n >= 2")
@@ -179,13 +179,13 @@ def sweep(n_min: int, n_max: int, max_k: int = DEFAULT_MAX_K) -> list[SweepRow]:
     rest: dict[int, tuple[int, int]] = {}
     rows = []
     for n in range(n_min, n_max + 1):
-        i, r, k, last = n + 1, n, 0, 0
+        i, r, q, k, last = n + 1, n, 1, 0, 0
         passed: list[tuple[int, int]] = []  # (state key, terms before it)
         while r and k <= max_k:
-            emitted, i, r, _ = _certified_walk(i, r, 1, max_k - k, stop=(i | 63) + 1)
+            emitted, i, r, q = _certified_walk(i, r, q, max_k - k, stop=(i | 63) + 1)
             last = emitted[-1] if emitted else last
             k += len(emitted)
-            if r:
+            if r and q == 1:
                 key = i * i + r  # one int per state: r <= i keeps keys apart
                 tail = rest.get(key)
                 if tail is None:

@@ -24,7 +24,13 @@ from dyadicrep.congruence import (
     ProgressionRow,
     log2_mod,
 )
-from dyadicrep.greedy import SweepRow, _greedy_walk, greedy_for_n, sweep
+from dyadicrep.greedy import (
+    SweepRow,
+    _greedy_walk,
+    greedy_for_n,
+    greedy_representation,
+    sweep,
+)
 from dyadicrep.search import PRUNE_RULES
 from known_solutions import (
     COMBINED_MODULUS,
@@ -481,6 +487,10 @@ def double_the_denominator(emitted, i, r, q):
     return emitted, i, r, 2 * q
 
 
+def scale_the_state(emitted, i, r, q):
+    return emitted, i, 2 * r, 2 * q
+
+
 @pytest.mark.parametrize(
     "corrupt", [drop_an_index, shift_the_remainder, double_the_denominator]
 )
@@ -505,6 +515,32 @@ def test_sweep_certificate_catches_a_corrupt_block(capsys, monkeypatch, corrupt)
     assert code == 4
     assert out == ""
     assert "verification failure" in err and "re-check" in err
+
+
+def test_block_loops_resume_from_the_handed_on_state(monkeypatch):
+    # a walk that hands on 2r/2q for r/q states the same remainder, so both
+    # block loops must resume from it and report the rows as walked. The
+    # walk of n = 105 is scaled up to its end; unscaled, it passes (128, 32),
+    # and n = 116 passes (128, 64), which a join keyed on 2r at q = 2 would
+    # take for the same state
+    rows, x_terms = sweep(105, 116), greedy_representation(Fraction(1, 3), 300)
+    scaled = []
+
+    def scaling_walk(i, r, q, max_k, stop=0):
+        got = _greedy_walk(i, r, q, max_k, stop)
+        if not got[2]:
+            scaled.append(None)  # a walk ended: scale no later block
+        elif None not in scaled:
+            scaled.append(i)
+            return scale_the_state(*got)
+        return got
+
+    monkeypatch.setattr("dyadicrep.greedy._greedy_walk", scaling_walk)
+    assert sweep(105, 116) == rows
+    assert scaled[0] == 106
+    scaled.clear()
+    assert greedy_representation(Fraction(1, 3), 300) == x_terms
+    assert len(scaled) > 1
 
 
 @pytest.mark.parametrize("exc", [ZeroDivisionError, OverflowError])
