@@ -35,7 +35,7 @@ def scaled_sum(terms: Sequence[int]) -> int:
     return total
 
 
-def sums_to(terms: Sequence[int], p: int, q: int = 1, e: int = 0) -> bool:
+def sums_to(terms: Sequence[int], p: int, q: int = 1, *, e: int) -> bool:
     """Exact test of sum a/2**a == p / (q * 2**e) for strictly increasing
     terms, q >= 1 and e >= 0: the scaled sum times q * 2**e against
     p * 2**a_k, both divided by 2**min(e, a_k) so that neither shift

@@ -17,14 +17,14 @@ in the loop. At q = 1, as for x = n/2**n, the state is (i, r) alone.
 
 greedy_for_n and greedy_representation return (terms, terminated), the
 partial walk when the term budget runs out. Every walk asserts x_i < i+1
-at each step, and _certified_walk proves each block of it by one
-identity: a whole walk for greedy_for_n, each 64-aligned block for
-greedy_representation and sweep. Neither check can be switched off.
+at each step, and _certified_blocks, the one block loop, proves each
+block of it by one identity: a whole walk for greedy_for_n, each 64-aligned
+block for greedy_representation and sweep. Neither check can be switched off.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .arith import VerificationError, sums_to
 
@@ -43,11 +43,11 @@ DEFAULT_MAX_K = 1 << 20
 
 
 def _greedy_walk(
-    i: int, r: int, q: int, max_k: int, stop: int = 0
+    i: int, r: int, q: int, max_k: int, stop: int
 ) -> tuple[list[int], int, int, int]:
     """Core loop from x_i = r/q; returns (emitted, i, r, q) where it
     halted: r == 0 once the walk terminated, else i == stop or the budget
-    ran out. The default stop = 0 is never reached (i >= 1).
+    ran out. A stop of 0 is never reached (i >= 1).
 
     Doubling halves q while it is even and doubles r once it is odd, so
     the power of two in q goes away one bit per step. The feasibility
@@ -75,23 +75,30 @@ def _greedy_walk(
     return emitted, i, r, q
 
 
-def _certified_walk(
-    i: int, r: int, q: int, max_k: int, stop: int = 0
-) -> tuple[list[int], int, int, int]:
-    """_greedy_walk from x_i = r/q, then a proof of the block [i, i1) it
-    walked against the state (i1, r1, q1) it hands on. The value not yet
-    expanded at index j is x_j / 2**(j-1), so the terms must sum to
+def _certified_blocks(
+    i: int, r: int, q: int, max_k: int, block: int = 64
+) -> Iterator[tuple[list[int], int, int, int]]:
+    """Walk from x_i = r/q in blocks that end at multiples of block, a power
+    of two; block 0 makes the stop (i | -1) + 1 == 0, one block to the end.
+    Yields each block's (emitted, i1, r1, q1) until r1 == 0 or max_k + 1
+    terms are out, once the block [i, i1) is proven against that handed-on
+    state, from which the next block starts. The value not yet expanded at
+    index j is x_j / 2**(j-1), so the terms must sum to
     r/(q * 2**(i-1)) - r1/(q1 * 2**(i1-1)); an empty block must remove 0.
     Raises VerificationError otherwise.
     """
-    emitted, i1, r1, q1 = _greedy_walk(i, r, q, max_k, stop)
-    gone = (r * q1 << (i1 - i)) - r1 * q
-    if not (sums_to(emitted, gone, q * q1, i1 - 1) if emitted else gone == 0):
-        raise VerificationError(
-            f"greedy walk block [{i}, {i1}) from {r}/{q} failed its "
-            "exactness re-check"
-        )
-    return emitted, i1, r1, q1
+    if max_k < 1:
+        raise ValueError("max_k must be positive")
+    while r and max_k >= 0:
+        emitted, i1, r1, q1 = _greedy_walk(i, r, q, max_k, (i | block - 1) + 1)
+        gone = (r * q1 << (i1 - i)) - r1 * q
+        if not (sums_to(emitted, gone, q * q1, e=i1 - 1) if emitted else gone == 0):
+            raise VerificationError(
+                f"greedy walk block [{i}, {i1}) from {r}/{q} failed its "
+                "exactness re-check"
+            )
+        yield emitted, i1, r1, q1
+        i, r, q, max_k = i1, r1, q1, max_k - len(emitted)
 
 
 def greedy_representation(
@@ -107,23 +114,19 @@ def greedy_representation(
     terms sum exactly to x. Otherwise the term budget ran out first, after
     max_k + 1 terms, and the terms are that prefix of the walk (the outcome
     is then unknown, not a proof that no representation exists).
-    _certified_walk proves each 64-aligned block of the walk in turn, and
-    the next block starts from the state (i, r, q) the last one handed on.
+    _certified_blocks proves each 64-aligned block of the walk in turn.
     """
     from fractions import Fraction  # here: no other path needs it at start-up
 
     x = Fraction(x)
     if not 0 < x < 2:
         raise ValueError("greedy expansion needs 0 < x < 2")
-    if max_k < 1:
-        raise ValueError("max_k must be positive")
     p, q = x.numerator, x.denominator
     i = 1
     while p << i <= i * q:
         i += 1
-    r, terms = p << (i - 1), []
-    while r and len(terms) <= max_k:
-        emitted, i, r, q = _certified_walk(i, r, q, max_k - len(terms), stop=(i | 63) + 1)
+    terms: list[int] = []
+    for emitted, _, r, _ in _certified_blocks(i, p << (i - 1), q, max_k):
         terms += emitted
     return tuple(terms), not r
 
@@ -135,14 +138,16 @@ def greedy_for_n(n: int, max_k: int = DEFAULT_MAX_K) -> tuple[tuple[int, ...], b
     For these inputs the whole run is machine-integer arithmetic, and its
     first step always emits n+1 (2n - (n+1) = n - 1 >= 0). The walk
     invariant and the exactness of the terms are certified by
-    _certified_walk.
+    _certified_blocks.
     """
     if n < 2:
         raise ValueError("greedy_for_n needs n >= 2")
-    if max_k < 1:
-        raise ValueError("max_k must be positive")
-    emitted, _, r, _ = _certified_walk(n + 1, n, 1, max_k)
-    return tuple(emitted), not r
+    terms: list[int] = []
+    # one block for the whole walk until ROADMAP item 1: faster 64-index
+    # blocks fit more benchmark passes, and peak_rss_mb follows the pass count
+    for emitted, _, r, _ in _certified_blocks(n + 1, n, 1, max_k, 0):
+        terms += emitted
+    return tuple(terms), not r
 
 
 class SweepRow(NamedTuple):
@@ -166,7 +171,7 @@ def sweep(n_min: int, n_max: int, max_k: int = DEFAULT_MAX_K) -> list[SweepRow]:
     break the budget, the walk goes on by itself, so an exhausted row
     reports its own partial walk.
 
-    _certified_walk proves each block against the state it hands on, so a
+    _certified_blocks proves each block against the state it hands on, so a
     terminated row's blocks, with those of the walks it joined, telescope
     from n/2**n to a zero remainder: it is exact without re-summing terms.
     """
@@ -174,15 +179,12 @@ def sweep(n_min: int, n_max: int, max_k: int = DEFAULT_MAX_K) -> list[SweepRow]:
         raise ValueError("sweep starts at n >= 2")
     if n_max < n_min:
         raise ValueError("empty sweep range")
-    if max_k < 1:
-        raise ValueError("max_k must be positive")
     rest: dict[int, tuple[int, int]] = {}
     rows = []
     for n in range(n_min, n_max + 1):
-        i, r, q, k, last = n + 1, n, 1, 0, 0
+        k, last = 0, 0
         passed: list[tuple[int, int]] = []  # (state key, terms before it)
-        while r and k <= max_k:
-            emitted, i, r, q = _certified_walk(i, r, q, max_k - k, stop=(i | 63) + 1)
+        for emitted, i, r, q in _certified_blocks(n + 1, n, 1, max_k):
             last = emitted[-1] if emitted else last
             k += len(emitted)
             if r and q == 1:
@@ -193,6 +195,7 @@ def sweep(n_min: int, n_max: int, max_k: int = DEFAULT_MAX_K) -> list[SweepRow]:
                 # once a tail overflows, later stored tails give the same total
                 elif k + tail[0] <= max_k + 1:
                     r, k, last = 0, k + tail[0], tail[1]
+                    break
         if not r:
             for key, before in passed:
                 rest[key] = (k - before, last)

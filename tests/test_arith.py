@@ -59,14 +59,14 @@ CHAIN_STEP_8 = (9, 10, 12, 14, 18, 19, 21, 22, 24, 26, 29, 30, 32)
 def test_sums_to_matches_fraction(indices, p, q, e, delta):
     terms = tuple(sorted(indices))
     value = sum((Fraction(a, 2**a) for a in terms), Fraction(0))
-    assert sums_to(terms, p, q, e) == (value == Fraction(p, q << e))
+    assert sums_to(terms, p, q, e=e) == (value == Fraction(p, q << e))
     # the same value written as p/(q * 2**e) with this q and e, then its
     # neighbours p - 1 and p + 1
     j = value.denominator.bit_length() - 1
     q_exact = q << max(j - e, 0)
     p_exact = value.numerator * q << max(e - j, 0)
     assert Fraction(p_exact, q_exact << e) == value
-    assert sums_to(terms, p_exact + delta, q_exact, e) == (delta == 0)
+    assert sums_to(terms, p_exact + delta, q_exact, e=e) == (delta == 0)
 
 
 def test_sums_to_with_e_and_a_k_near_a_huge_n():

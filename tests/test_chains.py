@@ -158,6 +158,19 @@ def test_certificate_rejects_tampering():
     with pytest.raises(VerificationError, match="out of order"):
         representation_count_certificate(_with_terms(chain, 2, tuple(terms)))
 
+    # a repeated term: (5, 5, 6) from source 4 has consistent count,
+    # endpoints and digest, and only the order check names what is wrong
+    repeated = _tampered(_with_terms(expand_chain(4, 1), 0, (5, 5, 6)), 0, k=3)
+    with pytest.raises(VerificationError, match="step 1 terms are out of order"):
+        representation_count_certificate(repeated)
+
+
+def test_two_term_step_is_certified():
+    # 4/2^4 = 5/2^5 + 6/2^6: the shortest step a chain can take
+    chain = expand_chain(4, 1)
+    assert [(s.k, s.terms) for s in chain.steps] == [(2, (5, 6))]
+    assert representation_count_certificate(chain) == 2
+
 
 _C = _DIGEST_CHUNK
 

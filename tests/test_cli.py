@@ -447,7 +447,7 @@ def test_chain_usage_errors(capsys, argv):
 )
 def test_failed_greedy_recheck_exits_4(capsys, monkeypatch, argv):
     # every greedy walk, a chain step's included, is certified by the one
-    # sums_to call in greedy._certified_walk
+    # sums_to call in greedy._certified_blocks
     monkeypatch.setattr("dyadicrep.greedy.sums_to", lambda *a, **k: False)
     code, out, err = run_cli(capsys, *argv)
     assert code == 4
@@ -499,7 +499,7 @@ def test_sweep_certificate_catches_a_corrupt_block(capsys, monkeypatch, corrupt)
     # emits terms; every other block is reported as walked
     corrupted = []
 
-    def lying_walk(i, r, q, max_k, stop=0):
+    def lying_walk(i, r, q, max_k, stop):
         got = _greedy_walk(i, r, q, max_k, stop)
         if not corrupted and i >= 128 and got[0] and got[2]:
             corrupted.append(i)
@@ -517,6 +517,24 @@ def test_sweep_certificate_catches_a_corrupt_block(capsys, monkeypatch, corrupt)
     assert "verification failure" in err and "re-check" in err
 
 
+def test_certificate_catches_a_wrong_state_out_of_an_empty_block(capsys, monkeypatch):
+    # 5/16 + 2**-200 emits nothing in [64, 128); a walk that claims to hand
+    # on r = 0 from there would end the expansion with no term missing
+    def lying_walk(i, r, q, max_k, stop):
+        got = _greedy_walk(i, r, q, max_k, stop)
+        if i == 64 and not got[0]:
+            return got[0], got[1], 0, got[3]
+        return got
+
+    monkeypatch.setattr("dyadicrep.greedy._greedy_walk", lying_walk)
+    with pytest.raises(VerificationError, match=r"block \[64, 128\) .* re-check"):
+        greedy_representation(Fraction(5, 16) + Fraction(1, 2**200))
+    code, out, err = run_cli(capsys, "greedy", "--x", f"{5 * 2**196 + 1}/{2**200}")
+    assert code == 4
+    assert out == ""
+    assert "verification failure" in err and "re-check" in err
+
+
 def test_block_loops_resume_from_the_handed_on_state(monkeypatch):
     # a walk that hands on 2r/2q for r/q states the same remainder, so both
     # block loops must resume from it and report the rows as walked. The
@@ -526,7 +544,7 @@ def test_block_loops_resume_from_the_handed_on_state(monkeypatch):
     rows, x_terms = sweep(105, 116), greedy_representation(Fraction(1, 3), 300)
     scaled = []
 
-    def scaling_walk(i, r, q, max_k, stop=0):
+    def scaling_walk(i, r, q, max_k, stop):
         got = _greedy_walk(i, r, q, max_k, stop)
         if not got[2]:
             scaled.append(None)  # a walk ended: scale no later block

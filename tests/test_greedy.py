@@ -9,7 +9,7 @@ from dyadicrep.arith import Solution, VerificationError, sums_to, verify_solutio
 from dyadicrep.greedy import (
     DEFAULT_MAX_K,
     SweepRow,
-    _certified_walk,
+    _certified_blocks,
     _greedy_walk,
     greedy_for_n,
     greedy_representation,
@@ -75,6 +75,9 @@ def _state_walk(x, budget):
 @example(Fraction(1, 3) + Fraction(3, 2**64), 3000)
 @example(Fraction(1, 3) + Fraction(3, 2**256), 3000)
 @example(Fraction(1, 3) + Fraction(3, 2**1000), 3000)
+# 2**-200 is expanded only past index 192: the blocks [64, 128) and
+# [128, 192) emit nothing, and each must be proven to remove 0
+@example(Fraction(5, 16) + Fraction(1, 2**200), DEFAULT_MAX_K)
 @settings(deadline=None, max_examples=150)
 def test_walk_matches_state_recurrence(x, budget):
     terms, terminated = greedy_representation(x, budget)
@@ -85,17 +88,19 @@ def test_walk_matches_state_recurrence(x, budget):
         assert len(terms) == budget + 1
 
 
-def test_certified_walk_proves_blocks_that_halve_the_denominator():
+def test_certified_blocks_prove_blocks_that_halve_the_denominator():
     # 1999/1024 starts at k0 = 1 with q = 1024, so a block that ends before
-    # q turns odd leaves its remainder on a halved denominator
+    # q turns odd leaves its remainder on a halved denominator; blocks of
+    # one index end at every index, and each starts where the last ended
     x = Fraction(1999, 1024)
     assert _k_zero(x) == 1
-    for stop in range(2, 30):
-        emitted, i1, r1, q1 = _certified_walk(1, 1999, 1024, DEFAULT_MAX_K, stop=stop)
+    blocks = _certified_blocks(1, 1999, 1024, DEFAULT_MAX_K, 1)
+    done = Fraction(0)
+    for stop, (emitted, i1, r1, q1) in zip(range(2, 30), blocks):
         assert i1 == stop and r1
         assert q1 == 1024 >> min(10, i1 - 1)
-        left = Fraction(r1, q1 << (i1 - 1))
-        assert sum(Fraction(a, 2**a) for a in emitted) == x - left
+        done += sum(Fraction(a, 2**a) for a in emitted)
+        assert done == x - Fraction(r1, q1 << (i1 - 1))
 
 
 def test_greedy_representation_certifies_blocks_of_under_64_indices(monkeypatch):
@@ -132,6 +137,34 @@ def test_greedy_for_n_41_and_budget_boundary():
     assert greedy_for_n(41, 13) == (GREEDY_41, True)
     # a budget of 12 stops the walk after its 13th emission
     assert greedy_for_n(41, 12) == (GREEDY_41[:13], False)
+
+
+def _walk_of_64_index_blocks(n, max_k):
+    terms = []
+    for emitted, _, r, _ in _certified_blocks(n + 1, n, 1, max_k):
+        terms += emitted
+    return tuple(terms), not r
+
+
+def test_greedy_for_n_whole_walk_equals_its_64_index_blocks(monkeypatch):
+    # greedy_for_n proves its walk as one block; walked in 64-index blocks
+    # from the same start, with the budget carried from block to block,
+    # it must give the same (terms, terminated) on every budget
+    for n in range(2, 400):
+        for max_k in (1, 5, 50, DEFAULT_MAX_K):
+            assert greedy_for_n(n, max_k) == _walk_of_64_index_blocks(n, max_k)
+    rng = random.Random(4000)
+    for n in rng.sample(range(2, 4001), 20):
+        assert greedy_for_n(n) == _walk_of_64_index_blocks(n, DEFAULT_MAX_K)
+    stops = []
+
+    def record(i, r, q, max_k, stop):
+        stops.append(stop)
+        return _greedy_walk(i, r, q, max_k, stop)
+
+    monkeypatch.setattr("dyadicrep.greedy._greedy_walk", record)
+    assert greedy_for_n(3113)[1]
+    assert stops == [0]
 
 
 def test_greedy_for_n_agrees_with_general_expansion():
@@ -171,6 +204,8 @@ def test_domain_errors():
         sweep(5, 4)
     with pytest.raises(ValueError, match="max_k must be positive"):
         sweep(2, 10, 0)
+    # the least budget is 1
+    assert sweep(2, 40, 1) == [direct_row(n, 1) for n in range(2, 41)]
 
 
 def test_advance_guards():
@@ -183,15 +218,15 @@ def test_advance_guards():
 def test_walk_rejects_an_infeasible_start():
     # x_3 = 4 breaks x_i < i+1; the walk stops before emitting
     with pytest.raises(VerificationError, match="x_3 >= 4"):
-        _greedy_walk(3, 4, 1, 10)
+        _greedy_walk(3, 4, 1, 10, 0)
     # the same start over an even denominator: x_3 = 16/4
     with pytest.raises(VerificationError, match="x_3 >= 4"):
-        _greedy_walk(3, 16, 4, 10)
+        _greedy_walk(3, 16, 4, 10, 0)
 
 
 def direct_row(n, max_k):
     """The sweep row of n from its own walk, with no shared states."""
-    emitted, _, r, _ = _greedy_walk(n + 1, n, 1, max_k)
+    emitted, _, r, _ = _greedy_walk(n + 1, n, 1, max_k, 0)
     return SweepRow(n, len(emitted), emitted[-1], r == 0)
 
 
@@ -215,6 +250,26 @@ def test_sweep_budget_stops_joined_walks():
     assert rows == [direct_row(n, 50) for n in range(2, 301)]
     assert not rows[40 - 2].terminated
     assert 0 < sum(not r.terminated for r in rows) < len(rows)
+
+
+def test_sweep_join_at_the_budget_edge(monkeypatch):
+    # row 64 reaches a stored state at i = 256 after 97 terms, and the walk
+    # that stored it had 66 terms left: 163 = max_k + 1 terms is the most a
+    # budget of 162 admits, so the row joins; under 161 it must not
+    starts = []
+
+    def record(i, r, q, max_k, stop):
+        starts.append(i)
+        return _greedy_walk(i, r, q, max_k, stop)
+
+    monkeypatch.setattr("dyadicrep.greedy._greedy_walk", record)
+    rows = sweep(56, 64, 162)
+    assert rows == [direct_row(n, 162) for n in range(56, 65)]
+    assert rows[-1] == SweepRow(64, 163, 392, True)
+    assert starts[starts.index(65):] == [65, 128, 192]
+    rows = sweep(56, 64, 161)
+    assert rows == [direct_row(n, 161) for n in range(56, 65)]
+    assert rows[-1].k == 162 and not rows[-1].terminated
 
 
 def test_sweep_budget_exhaustion_row():
