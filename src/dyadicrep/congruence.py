@@ -12,8 +12,10 @@ M = 2**(u+3) - 3, T = 3u + 7 and the condition is the paper's
 
 Both are decided from factorizations. Pollard-Brent rho (Brent 1980)
 splits composites; primality is trial division by the primes up to 41
-and then strong probable-prime tests to the same 13 bases, which is a
-proof below psi_13 = 3317044064679887385961981 (Sorenson-Webster 2017).
+and then strong probable-prime tests to the same bases in turn, which is
+a proof once n lies below psi_t, the least strong pseudoprime to the
+first t of them (Jaeschke 1993; psi_13 = 3317044064679887385961981,
+Sorenson-Webster 2017), so the test stops at the first such t.
 log2_mod computes both: the order is the Carmichael exponent lambda(M)
 with primes stripped while 2**(v/q) == 1, so each prime q of r carries
 the witness 2**(r/q) != 1 and r is never factored again. The logarithm
@@ -50,10 +52,18 @@ __all__ = [
     "tail_solution",
 ]
 
-# psi_13: the least strong pseudoprime to all of the 13 prime bases 2..41
-PROVEN_PRIME_LIMIT = 3317044064679887385961981
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# psi_t, t = 1..13: the least strong pseudoprime to the first t prime bases
+# (OEIS A014233; Jaeschke 1993, Sorenson-Webster 2017)
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+
+PROVEN_PRIME_LIMIT = _PSI[-1]
 
 
 class UnsupportedModulusError(ValueError):
@@ -90,8 +100,9 @@ def tail_solution(d: tuple[int, ...], j: int) -> Optional[Solution]:
 def is_prime(n: int) -> bool:
     """Proven primality of n < PROVEN_PRIME_LIMIT: trial division by the
     primes up to 41, which decides every n < 43**2, then strong
-    probable-prime tests to those 13 bases, which no composite below
-    psi_13 passes. Raises UnsupportedModulusError for larger n."""
+    probable-prime tests to those bases in turn, stopping as prime after
+    the t-th once n < psi_t: no composite below psi_t passes the first t.
+    Raises UnsupportedModulusError for larger n."""
     if n >= PROVEN_PRIME_LIMIT:
         raise UnsupportedModulusError(f"{n} >= psi_13: primality unproven")
     if n < 2:
@@ -103,7 +114,9 @@ def is_prime(n: int) -> bool:
         return True
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
-    for a in _SMALL_PRIMES:
+    # the least t with n < psi_t: passing the first t bases proves n prime
+    t = next(t for t, psi in enumerate(_PSI, 1) if n < psi)
+    for a in _SMALL_PRIMES[:t]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -14,11 +14,11 @@ k0 and 2**r == 1), and each class is then shown inside every one of its
 rows' progressions by remainders alone, so no power of 2 is raised to a
 class member.
 
-scan_subsets finds the compatible m-subsets of a row list by a depth-first
-search that intersects one more row per level and never extends a prefix
-whose intersection is already empty. Since intersecting more classes can
-only shrink the set, no compatible subset lies below an empty prefix, so
-the pruned search returns exactly what checking every subset would.
+scan_subsets finds the compatible m-subsets of a row list as the m-cliques
+of the rows' pairwise-compatibility graph. By the generalized CRT, finitely
+many classes have a common member iff every two of them do (Ore 1952), so
+the cliques are exactly the compatible subsets, and crt_pair is called only
+on a prefix and a row compatible with all of it, where it cannot fail.
 """
 
 from __future__ import annotations
@@ -82,30 +82,48 @@ def scan_subsets(
     """All m-subsets of rows whose progressions intersect, as
     (ascending u-tuple, combined class), in combinations order.
 
-    Depth-first over row indices in ascending order: a node holds the
-    intersection of the rows chosen so far and is extended by crt_pair with
-    each later row, so every prefix is combined once for all the subsets
-    that contain it. An empty prefix is not extended (exact: adding rows
-    only shrinks an intersection). Children are visited in index order, so
-    leaves appear in exactly the order itertools.combinations lists them.
+    later[i] is the bitmask of the rows j > i whose classes agree with
+    row i's mod gcd(r_i, r_j). The m-cliques of that graph are enumerated
+    depth-first over ascending row indices: a node holds the intersection
+    of the rows chosen so far and the mask of later rows compatible with
+    all of them, and a node with fewer candidates than rows still needed
+    is not entered. Children are visited in index order, so leaves appear
+    in exactly the order itertools.combinations lists them. Every
+    pairwise-compatible set of classes intersects, so a crt_pair that
+    finds no intersection is a VerificationError.
     """
     if not 1 <= m <= len(rows):
         raise ValueError(f"subset size must be in 1..{len(rows)}")
     classes = [CongruenceClass(row.k0 % row.r, row.r) for row in rows]
+    if m == 1:
+        return [((row.u,), c) for row, c in zip(rows, classes)]
+    later = [0] * len(rows)
+    for i, a in enumerate(classes):
+        for j in range(i + 1, len(rows)):
+            b = classes[j]
+            if (b.residue - a.residue) % gcd(a.modulus, b.modulus) == 0:
+                later[i] |= 1 << j
     out = []
 
-    def extend(start: int, us: tuple[int, ...], acc: CongruenceClass) -> None:
-        if len(us) == m:
+    def extend(us: tuple[int, ...], acc: CongruenceClass, cand: int) -> None:
+        need = m - len(us)
+        if not need:
             out.append((us, acc))
             return
-        # leave room for the m - len(us) - 1 rows still to come after i
-        for i in range(start, len(rows) - (m - len(us)) + 1):
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
             nxt = crt_pair(acc, classes[i])
-            if nxt is not None:
-                extend(i + 1, us + (rows[i].u,), nxt)
+            if nxt is None:
+                raise VerificationError(
+                    f"rows {us + (rows[i].u,)} agree pairwise but have no "
+                    "common class"
+                )
+            extend(us + (rows[i].u,), nxt, cand & later[i])
 
-    for i in range(len(rows) - m + 1):
-        extend(i + 1, (rows[i].u,), classes[i])
+    for i, row in enumerate(rows):
+        extend((row.u,), classes[i], later[i])
     return out
 
 
@@ -122,14 +140,15 @@ def certify_multiplicity(
     then takes integer checks only: its u are distinct (distinct u means
     distinct second-largest term n+k+u, so the families cannot collide;
     the trivial solution's terms are consecutive, which no family's are);
-    every row's r divides the class modulus and its least member k >= 2
-    has k == k0 (mod r), so the whole class from k on lies in the row's
-    progression, where 2**(k-1) == 2**(k0-1) (mod M) carries the
-    congruence over from k0. No k >= 2 needs a further bound: the family
-    at k is the tail d = (u+2, u+3) after a run of j = k-2 terms, any tail
-    has M < 2**d_r, so 2**s > 2M, and n = (2**s * (2**j - 1) + T - j*M)/M
-    is then positive for every j >= 1 (2**j - 1 >= j), and T/M > 0 at
-    j = 0. Raises VerificationError on any failure.
+    every row's r divides the class modulus and the class residue is
+    == k0 (mod r), so every member agrees with k0 mod r and each k >= 2
+    of the class lies in the row's progression, where 2**(k-1) ==
+    2**(k0-1) (mod M) carries the congruence over from k0. No k >= 2
+    needs a further bound: the family at k is the tail d = (u+2, u+3)
+    after a run of j = k-2 terms, any tail has M < 2**d_r, so 2**s > 2M,
+    and n = (2**s * (2**j - 1) + T - j*M)/M is then positive for every
+    j >= 1 (2**j - 1 >= j), and T/M > 0 at j = 0. Raises
+    VerificationError on any failure.
     """
     by_u = {row.u: row for row in rows}
     checked = set()
@@ -137,7 +156,6 @@ def certify_multiplicity(
     for us, k_class in found:
         if len(set(us)) != len(us):
             raise VerificationError(f"duplicate row in {us}")
-        k = k_class.least_member_at_least(2)
         for u in us:
             row = by_u.get(u)
             if row is None:
@@ -145,7 +163,7 @@ def certify_multiplicity(
             if u not in checked:
                 check_row(row)
                 checked.add(u)
-            if k_class.modulus % row.r or (k - row.k0) % row.r:
+            if k_class.modulus % row.r or (k_class.residue - row.k0) % row.r:
                 raise VerificationError(
                     f"class {k_class.residue} mod {k_class.modulus} is not "
                     f"inside row u={u}'s progression"

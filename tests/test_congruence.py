@@ -11,6 +11,8 @@ from dyadicrep.congruence import (
     TABLE_ROWS,
     ProgressionRow,
     UnsupportedModulusError,
+    _PSI,
+    _SMALL_PRIMES,
     _tail,
     bsgs_dlog,
     check_row,
@@ -318,6 +320,52 @@ def test_is_prime_against_trial_division():
         assert is_prime(p)
     with pytest.raises(UnsupportedModulusError):
         is_prime(PROVEN_PRIME_LIMIT)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """n passes the strong probable-prime test to base a, by pow alone."""
+    s = 0
+    while (n - 1) >> s & 1 == 0:
+        s += 1
+    d = (n - 1) >> s
+    return pow(a, d, n) == 1 or any(
+        pow(a, d << i, n) == n - 1 for i in range(s)
+    )
+
+
+def test_psi_table_is_a_strong_pseudoprime_per_base_count():
+    # psi_t passes the first t bases, so stopping at base t below psi_t
+    # is the sharpest cut the table allows; psi_13 is the policy limit
+    assert len(_PSI) == len(_SMALL_PRIMES) == 13
+    assert list(_PSI) == sorted(_PSI)
+    assert PROVEN_PRIME_LIMIT == _PSI[-1]
+    for t, psi in enumerate(_PSI, 1):
+        assert all(_strong_probable_prime(psi, a) for a in _SMALL_PRIMES[:t])
+
+
+def test_is_prime_rejects_every_psi():
+    # psi_1 = 2047 = 23 * 89 falls to trial division; each later psi_t
+    # passes the first t bases and must be caught by base t+1 or later
+    assert _PSI[0] == 23 * 89
+    for psi in _PSI[:-1]:
+        assert not is_prime(psi)
+    with pytest.raises(UnsupportedModulusError):
+        is_prime(_PSI[-1])
+
+
+def test_is_prime_matches_sympy_near_each_psi_and_below_the_limit():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20260421)
+    cases = []
+    for psi in _PSI:
+        lo, hi = max(3, psi - 10**4), min(psi + 10**4, PROVEN_PRIME_LIMIT - 1)
+        cases += [rng.randrange(lo, hi) | 1 for _ in range(300)]
+        cases += [psi - 2, psi + 2]
+    cases += [rng.randrange(3, PROVEN_PRIME_LIMIT - 1) | 1 for _ in range(2000)]
+    cases = [n for n in cases if n < PROVEN_PRIME_LIMIT]
+    mismatched = [n for n in cases if is_prime(n) != sympy.isprime(n)]
+    assert not mismatched
+    assert sum(map(is_prime, cases)) > 100  # the samples hold primes, too
 
 
 def test_factorize_round_trip():

@@ -143,8 +143,11 @@ def test_scan_subsets_matches_brute_force_on_synthetic_rows():
 
 
 def test_subset_scan_work_is_frozen(monkeypatch):
-    # crt_pair calls and compatible subsets for m = 1..5 on the table rows;
-    # combining every subset from scratch made 7,964 calls in all
+    # crt_pair calls and compatible subsets for m = 1..5 on the table rows:
+    # a clique search over the pairwise-compatibility graph calls it once
+    # per prefix extended by a row compatible with all of it, so none for
+    # m = 1 and none that fails. Combining every subset from scratch made
+    # 7,964 calls in all, and extending every nonempty prefix 778
     calls = 0
     real = crt_module.crt_pair
 
@@ -159,8 +162,23 @@ def test_subset_scan_work_is_frozen(monkeypatch):
         calls = 0
         compatible.append(len(scan_subsets(TABLE_ROWS, m)))
         work.append(calls)
-    assert tuple(work) == (0, 120, 221, 244, 193)
+    assert tuple(work) == (0, 30, 47, 28, 6)
     assert tuple(compatible) == (16, 30, 28, 9, 0)
+
+
+def test_failed_intersection_of_agreeing_rows_exits_4(monkeypatch, capsys):
+    # pairwise-compatible classes always intersect, so the scan treats a
+    # crt_pair that finds nothing as a broken self-check, not as pruning
+    monkeypatch.setattr(crt_module, "crt_pair", lambda a, b: None)
+    with pytest.raises(VerificationError, match="agree pairwise"):
+        scan_subsets(TABLE_ROWS, 2)
+    assert main(["multiplicity", "--subset-size", "3"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "verification failure: rows (" in err
+    assert "Traceback" not in err
+    # m = 1 combines nothing
+    assert main(["multiplicity", "--subset-size", "1"]) == 0
 
 
 def test_scan_subsets_domain():
@@ -200,6 +218,12 @@ def test_certify_rejects_wrong_progression():
     # the least member is in the progression, but the class is wider
     with pytest.raises(VerificationError, match="progression"):
         certify_multiplicity([((1,), CongruenceClass(5, 6))], [table_row(1)])
+    # r = 12 divides the modulus, but the residue is off k0 = 5 (mod 12)
+    with pytest.raises(VerificationError, match="progression"):
+        certify_multiplicity([((1,), CongruenceClass(6, 12))], [table_row(1)])
+    # a narrower class inside the progression is certified
+    narrow = [((1,), CongruenceClass(17, 24))]
+    assert certify_multiplicity(narrow, [table_row(1)]) == [2]
 
 
 def test_certify_rejects_false_congruence():
