@@ -101,14 +101,15 @@ def representation_count_certificate(chain: ChainResult) -> int:
     strictly longer representation of the same value. Step i's source is
     the previous step's last term (the start for step 1), so the
     certificate checks that each step starts strictly above that source,
-    which keeps term lists strictly increasing, and re-verifies against it
-    the exactness of every step that kept its terms.
+    which keeps term lists strictly increasing, that its endpoints leave
+    room for k distinct increasing terms, and re-verifies against it the
+    exactness of every step that kept its terms.
     """
     if not chain.steps:
         raise VerificationError("empty chain certifies nothing")
     source = chain.start
     for i, step in enumerate(chain.steps, start=1):
-        if not source < step.first_term <= step.last_term:
+        if not source < step.first_term:
             raise VerificationError(f"step {i} is not strictly above its source")
         if step.k < 2:
             raise VerificationError(f"step {i} has fewer than two terms")
@@ -123,5 +124,8 @@ def representation_count_certificate(chain: ChainResult) -> int:
                 raise VerificationError(f"step {i} terms are out of order")
             if not sums_to(step.terms, source, e=source):
                 raise VerificationError(f"step {i} does not sum to its source")
+        elif step.last_term - step.first_term < step.k - 1:
+            # kept terms prove this by their count and order
+            raise VerificationError(f"step {i} endpoints cannot hold {step.k} terms")
         source = step.last_term
     return len(chain.steps) + 1

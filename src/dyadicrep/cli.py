@@ -4,9 +4,12 @@ Commands print their payload to stdout (JSON or CSV, selected by
 --format) and everything else to stderr: timing, progress, warnings.
 Payloads are byte-deterministic for fixed arguments: every command runs
 in one process, and --jobs is only validated and echoed.
-Each command builds its JSON payload once; the CSV form is one line per
-record of its "rows" with one rule for every cell: a list is space-joined,
-a bool is true/false, None is an empty cell.
+Each command hands _emit the body of its payload once. _emit puts the
+one envelope in front of it: "command", then "parameters", which are the
+parsed arguments minus those that only shape the printout (greedy alone
+passes its own). The CSV form has the record keys for a header and one
+line per record of "rows", with one rule for every cell: a list is
+space-joined, a bool is true/false, None is an empty cell.
 
 Exit codes: 0 success; 2 usage or validation error; 3 a term budget ran
 out; 4 a self-check failed on something about to be emitted (exact
@@ -50,21 +53,35 @@ def _cell(value: object) -> object:
     return "" if value is None else value
 
 
+# parsed arguments that only shape the printout, or are not inputs at all
+_NOT_PARAMETERS = ("command", "func", "format", "figures")
+
+
 def _emit(
     args: argparse.Namespace,
-    payload: dict,
-    columns: Sequence[tuple[str, str]],
+    body: dict,
+    columns: Sequence[str],
     rows: Optional[Sequence[dict]] = None,
+    parameters: Optional[dict] = None,
 ) -> None:
-    """Print payload as JSON, or as CSV with one line per record of rows
-    (default: payload["rows"]) and one cell per (header, key) column."""
+    """Print {"command", "parameters", **body} as JSON, or as CSV with the
+    header columns and one line per record of rows (default: body["rows"]),
+    a cell per column key. parameters defaults to every parsed argument
+    that is an input, in declaration order."""
     if args.format == "json":
+        if parameters is None:
+            parameters = {
+                key: value
+                for key, value in vars(args).items()
+                if key not in _NOT_PARAMETERS
+            }
+        payload = {"command": args.command, "parameters": parameters, **body}
         print(json.dumps(payload, indent=2))
         return
     w = csv.writer(sys.stdout, lineterminator="\n")
-    w.writerow([header for header, _ in columns])
-    for rec in payload["rows"] if rows is None else rows:
-        w.writerow([_cell(rec[key]) for _, key in columns])
+    w.writerow(columns)
+    for rec in body["rows"] if rows is None else rows:
+        w.writerow([_cell(rec[key]) for key in columns])
 
 
 def _to_devnull(stream) -> None:
@@ -92,15 +109,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         _note(f"enumerate k={args.k}: {nodes} nodes, {found} found")
 
     result = run_search(args.k, progress=progress)
-    payload = {
-        "command": "enumerate",
-        "parameters": {"k": args.k, "jobs": args.jobs},
+    body = {
         "count": len(result.solutions),
         "rows": [{"n": s.n, "a": list(s.terms)} for s in result.solutions],
         "nodes": result.nodes,
         "prune_counters": result.prune_counters,
     }
-    _emit(args, payload, [("n", "n"), ("a", "a")])
+    _emit(args, body, ("n", "a"))
     return EXIT_OK
 
 
@@ -120,16 +135,13 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
             raise ValueError("zero denominator") from None
         parameters["x"] = str(x)
         terms, terminated = greedy_representation(x, args.max_k)
-    payload = {
-        "command": "greedy",
-        "parameters": parameters,
+    body = {
         "status": "ok" if terminated else "budget exhausted",
         "terminated": terminated,
         "k": len(terms),
         "terms": list(terms),
     }
-    columns = [("k", "k"), ("terminated", "terminated"), ("terms", "terms")]
-    _emit(args, payload, columns, rows=[payload])
+    _emit(args, body, ("k", "terminated", "terms"), [body], parameters)
     if not terminated:
         _note(f"budget of {args.max_k} terms exhausted before the remainder hit 0")
         return EXIT_BUDGET
@@ -158,17 +170,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
             rec["k_ratio"] = r.k / r.n if r.terminated else None
         recs.append(rec)
-    payload = {
-        "command": "sweep",
-        "parameters": {
-            "n_min": args.n_min,
-            "n_max": args.n_max,
-            "max_k": args.max_k,
-            "jobs": args.jobs,
-        },
-        "rows": recs,
-    }
-    _emit(args, payload, [(key, key) for key in keys])
+    _emit(args, {"rows": recs}, keys)
     for r in violations:
         _note(f"window violation: n={r.n} k={r.k} a_k={r.last_term}")
     if violations:
@@ -185,12 +187,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         {"u": row.u, "k0": row.k0, "r": row.r, "status": status}
         for row, status in rows
     ]
-    payload = {
-        "command": "table1",
-        "parameters": {"u_max": args.u_max},
-        "rows": recs,
-    }
-    _emit(args, payload, [(key, key) for key in ("u", "k0", "r", "status")])
+    _emit(args, {"rows": recs}, ("u", "k0", "r", "status"))
     if skipped:
         count, first, last = skipped
         _note(
@@ -214,14 +211,11 @@ def _cmd_multiplicity(args: argparse.Namespace) -> int:
         }
         for (us, cls), cert in zip(found, certs)
     ]
-    payload = {
-        "command": "multiplicity",
-        "parameters": {"subset_size": args.subset_size},
-        "count": len(recs),
-        "rows": recs,
-    }
-    keys = ("us", "residue", "modulus", "k", "certificate")
-    _emit(args, payload, [(key, key) for key in keys])
+    _emit(
+        args,
+        {"count": len(recs), "rows": recs},
+        ("us", "residue", "modulus", "k", "certificate"),
+    )
     return EXIT_OK
 
 
@@ -233,18 +227,9 @@ def _cmd_chain(args: argparse.Namespace) -> int:
         fields = {key: v for key, v in s._asdict().items() if v is not None}
         recs.append({"i": i, "source": source, **fields})
         source = s.last_term
-    payload = {
-        "command": "chain",
-        "parameters": {
-            "a_start": args.a_start,
-            "depth": args.depth,
-            "max_k": args.max_k,
-        },
-        "exhausted": chain.exhausted,
-        "certificate": certificate,
-        "rows": recs,
-    }
-    _emit(args, payload, [("i", "i"), ("k_i", "k"), ("last_term", "last_term")])
+    body = {"exhausted": chain.exhausted, "certificate": certificate, "rows": recs}
+    csv_rows = [{"i": r["i"], "k_i": r["k"], "last_term": r["last_term"]} for r in recs]
+    _emit(args, body, ("i", "k_i", "last_term"), csv_rows)
     if chain.exhausted:
         _note(
             f"budget of {args.max_k} terms exhausted at step "

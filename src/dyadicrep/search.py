@@ -34,7 +34,6 @@ from .bounds import ak_bound_thm, product_bound_holds
 __all__ = [
     "PRUNE_RULES",
     "SearchResult",
-    "enumerate_solutions",
     "run_search",
 ]
 
@@ -135,8 +134,3 @@ def run_search(
     if progress:
         progress(nodes, len(solutions))
     return SearchResult(solutions, dict(zip(PRUNE_RULES, counters)), nodes)
-
-
-def enumerate_solutions(k: int) -> list[Solution]:
-    """All solutions with exactly k terms, sorted by (n, terms)."""
-    return run_search(k).solutions

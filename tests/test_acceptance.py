@@ -29,7 +29,7 @@ from dyadicrep.congruence import (
 from dyadicrep.congruence import TABLE_ROWS
 from dyadicrep.crt import CongruenceClass, certify_multiplicity, scan_subsets
 from dyadicrep.greedy import greedy_for_n, sweep
-from dyadicrep.search import enumerate_solutions
+from dyadicrep.search import run_search
 from greedy_reference import advance, start_state
 from known_solutions import (
     CHAIN_8,
@@ -67,7 +67,7 @@ def test_criterion_01_small_k_enumeration(capsys):
     with criterion(1, "enumeration reproduces every solution list for k <= 8"):
         for k in range(2, 9):
             want = [Solution(n, terms) for n, terms in SMALL_K[k]]
-            assert enumerate_solutions(k) == want
+            assert run_search(k).solutions == want
         # byte-identical canonical output through the CLI
         assert main(["enumerate", "3", "--format", "csv", "--jobs", "1"]) == 0
         out = capsys.readouterr().out
@@ -88,7 +88,7 @@ def test_criterion_02_brute_force_equivalence():
                 s = sum(a << (cap - a) for a in combo)
                 for n in targets.get(s, ()):
                     brute.append((n, combo))
-            got = [(s.n, s.terms) for s in enumerate_solutions(k)]
+            got = [(s.n, s.terms) for s in run_search(k).solutions]
             assert sorted(brute) == got
 
 

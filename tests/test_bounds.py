@@ -10,7 +10,7 @@ from dyadicrep.bounds import (
     product_bound_holds,
     trivial_solution,
 )
-from dyadicrep.search import enumerate_solutions
+from dyadicrep.search import run_search
 from known_solutions import SMALL_K
 
 
@@ -82,7 +82,7 @@ def test_forced_prefix():
     assert _forced_prefix_len(120, 6) == 5  # capped at k-1
     assert _forced_prefix_len(502, 8) == 7
     for k in range(2, 21):
-        for sol in enumerate_solutions(k):
+        for sol in run_search(k).solutions:
             j = _forced_prefix_len(sol.n, k)
             assert sol.terms[:j] == tuple(range(sol.n + 1, sol.n + 1 + j))
 

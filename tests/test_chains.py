@@ -141,6 +141,18 @@ def test_certificate_rejects_tampering():
     with pytest.raises(VerificationError, match="digest"):
         representation_count_certificate(_tampered(chain, 1, digest="0" * 64))
 
+    # a digest-only step (past the depth that keeps terms) is checked by its
+    # endpoints and count alone: they must leave room for k distinct terms
+    deep = expand_chain(8, 4)
+    step4 = deep.steps[3]
+    assert step4.terms is None
+    assert representation_count_certificate(deep) == 5
+    room = step4.last_term - step4.first_term + 1  # the most terms that fit
+    assert representation_count_certificate(_tampered(deep, 3, k=room)) == 5
+    for change in ({"first_term": step4.last_term}, {"k": 10**6}, {"k": room + 1}):
+        with pytest.raises(VerificationError, match="step 4 endpoints cannot hold"):
+            representation_count_certificate(_tampered(deep, 3, **change))
+
     # a consistent-looking last step whose terms do not sum to the source
     bad_terms = chain.steps[2].terms[:-1] + (chain.steps[2].terms[-1] + 1,)
     with pytest.raises(VerificationError, match="sum to its source"):

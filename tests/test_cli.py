@@ -923,16 +923,31 @@ def test_console_script_entry_point():
     assert "# elapsed:" in proc.stderr
 
 
-def test_console_script_installed(tmp_path):
-    # The declared [project.scripts] entry runs through the launcher an
-    # install would write, so no install is needed; an installed dyadicrep
-    # found on PATH runs as well and must print the same bytes.
+def load_pyproject():
     try:
         import tomllib
     except ModuleNotFoundError:  # Python 3.10
         tomllib = pytest.importorskip("tomli")
     with PYPROJECT.open("rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"]["dyadicrep"]
+        return tomllib.load(fh)
+
+
+def test_version_is_declared_once():
+    # the build reads the version from the package, so pyproject.toml holds
+    # no second copy of it
+    config = load_pyproject()
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    version = config["tool"]["setuptools"]["dynamic"]["version"]
+    assert version == {"attr": "dyadicrep.__version__"}
+    assert isinstance(dyadicrep.__version__, str)
+
+
+def test_console_script_installed(tmp_path):
+    # The declared [project.scripts] entry runs through the launcher an
+    # install would write, so no install is needed; an installed dyadicrep
+    # found on PATH runs as well and must print the same bytes.
+    target = load_pyproject()["project"]["scripts"]["dyadicrep"]
     installed = shutil.which("dyadicrep")
     write_console_script(tmp_path, "dyadicrep", target)
     argv = ["enumerate", "2", "--format", "csv"]

@@ -23,7 +23,7 @@ from dyadicrep.congruence import (
     table1,
     tail_solution,
 )
-from dyadicrep.search import enumerate_solutions
+from dyadicrep.search import run_search
 from known_solutions import COMPUTED_ROWS
 from oracles import table_row, u_congruence_holds, u_modulus
 
@@ -79,7 +79,7 @@ def test_tail_solution_matches_gap_search():
     # two algorithms, both ways, for every k <= 10: each non-trivial
     # enumerated solution is the tail solution of its own split, and each
     # tail solution with offsets in 2..10 is enumerated
-    found = {k: enumerate_solutions(k) for k in range(2, 11)}
+    found = {k: run_search(k).solutions for k in range(2, 11)}
     inside = 0  # enumerated solutions whose offsets lie in 2..10
     for solutions in found.values():
         for sol in solutions:

@@ -16,7 +16,6 @@ from dyadicrep.congruence import tail_solution
 from dyadicrep.search import (
     PRUNE_RULES,
     _interval,
-    enumerate_solutions,
     run_search,
 )
 from known_solutions import MEDIUM_K, SMALL_K
@@ -49,7 +48,7 @@ def _brute(k: int, cap: int):
 @pytest.mark.parametrize("k,cap", [(2, 40), (3, 40), (4, 68)])
 def test_enumeration_matches_brute_force(k, cap):
     assert cap >= ak_bound_cor(k)  # the window provably contains everything
-    assert _brute(k, cap) == _as_pairs(enumerate_solutions(k))
+    assert _brute(k, cap) == _as_pairs(run_search(k).solutions)
 
 
 # --- golden solution sets ----------------------------------------------
@@ -61,13 +60,13 @@ def test_enumeration_golden_sets(k):
 
 
 def test_counts():
-    assert [len(enumerate_solutions(k)) for k in range(2, 8)] == [1, 6, 2, 4, 5, 5]
+    assert [len(run_search(k).solutions) for k in range(2, 8)] == [1, 6, 2, 4, 5, 5]
 
 
 # --- past the published range: facts every run must reproduce -----------
 
 def _cross_check(k, count, family_ns):
-    solutions = enumerate_solutions(k)
+    solutions = run_search(k).solutions
     assert len(solutions) == count
     assert trivial_solution(k) in solutions
     families = [
