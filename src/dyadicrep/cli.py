@@ -5,11 +5,12 @@ Commands print their payload to stdout (JSON or CSV, selected by
 Payloads are byte-deterministic for fixed arguments: every command runs
 in one process, and --jobs is only validated and echoed.
 Each command hands _emit the body of its payload once. _emit puts the
-one envelope in front of it: "command", then "parameters", which are the
-parsed arguments minus those that only shape the printout (greedy alone
-passes its own). The CSV form has the record keys for a header and one
-line per record of "rows", with one rule for every cell: a list is
-space-joined, a bool is true/false, None is an empty cell.
+one envelope in front of it: "command", then "parameters", the parsed
+inputs that are set, minus those that only shape the printout (the CLI
+alone parses greedy --x, and echoes it normalised). The CSV form has the
+record keys for a header and one line per record of "rows", with one
+rule for every cell: a list is space-joined, a bool is true/false, None
+is an empty cell.
 
 Exit codes: 0 success; 2 usage or validation error; 3 a term budget ran
 out; 4 a self-check failed on something about to be emitted (exact
@@ -62,19 +63,18 @@ def _emit(
     body: dict,
     columns: Sequence[str],
     rows: Optional[Sequence[dict]] = None,
-    parameters: Optional[dict] = None,
 ) -> None:
     """Print {"command", "parameters", **body} as JSON, or as CSV with the
     header columns and one line per record of rows (default: body["rows"]),
-    a cell per column key. parameters defaults to every parsed argument
-    that is an input, in declaration order."""
+    a cell per column key. parameters are the parsed arguments, in
+    declaration order, that are neither in _NOT_PARAMETERS nor None: an
+    option left unset is not echoed."""
     if args.format == "json":
-        if parameters is None:
-            parameters = {
-                key: value
-                for key, value in vars(args).items()
-                if key not in _NOT_PARAMETERS
-            }
+        parameters = {
+            key: value
+            for key, value in vars(args).items()
+            if key not in _NOT_PARAMETERS and value is not None
+        }
         payload = {"command": args.command, "parameters": parameters, **body}
         print(json.dumps(payload, indent=2))
         return
@@ -122,18 +122,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_greedy(args: argparse.Namespace) -> int:
     if (args.n is None) == (args.x is None):
         raise ValueError("give exactly one of --n or --x")
-    parameters: dict = {"max_k": args.max_k}
     if args.n is not None:
-        parameters["n"] = args.n
         terms, terminated = greedy_for_n(args.n, args.max_k)
     else:
-        from fractions import Fraction  # only --x needs it; see greedy_representation
+        from fractions import Fraction  # only --x needs it at start-up
 
         try:
             x = Fraction(args.x)
         except ZeroDivisionError:
             raise ValueError("zero denominator") from None
-        parameters["x"] = str(x)
+        args.x = str(x)  # the payload echoes x normalised
         terms, terminated = greedy_representation(x, args.max_k)
     body = {
         "status": "ok" if terminated else "budget exhausted",
@@ -141,9 +139,9 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
         "k": len(terms),
         "terms": list(terms),
     }
-    _emit(args, body, ("k", "terminated", "terms"), [body], parameters)
+    _emit(args, body, ("k", "terminated", "terms"), [body])
     if not terminated:
-        _note(f"budget of {args.max_k} terms exhausted before the remainder hit 0")
+        _note(f"budget exhausted: the walk stopped after {args.max_k + 1} terms")
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -176,7 +174,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if violations:
         return EXIT_VERIFY
     if exhausted:
-        _note(f"{len(exhausted)} rows hit the {args.max_k}-term budget")
+        _note(
+            f"budget exhausted in {len(exhausted)} rows: each walk stopped "
+            f"after {args.max_k + 1} terms"
+        )
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -191,8 +192,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     if skipped:
         count, first, last = skipped
         _note(
-            f"{count} values of u ({first}..{last}) are past "
-            "the proven-prime policy and have no embedded row; skipped, "
+            f"{count} values of u ({first}..{last}) have moduli past psi_13 "
+            "and no embedded row; table1 does not try them: skipped, "
             "not claimed unsolvable"
         )
     return EXIT_OK
@@ -232,8 +233,8 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     _emit(args, body, ("i", "k_i", "last_term"), csv_rows)
     if chain.exhausted:
         _note(
-            f"budget of {args.max_k} terms exhausted at step "
-            f"{len(chain.steps) + 1} of {args.depth}"
+            f"budget exhausted at step {len(chain.steps) + 1} of "
+            f"{args.depth}: its walk stopped after {args.max_k + 1} terms"
         )
         return EXIT_BUDGET
     return EXIT_OK
@@ -258,6 +259,11 @@ def _add_jobs(p: argparse.ArgumentParser, work: str) -> None:
     )
 
 
+def _add_max_k(p: argparse.ArgumentParser) -> None:
+    text = "term budget: a walk that runs out stops after MAX_K + 1 terms"
+    p.add_argument("--max-k", type=int, default=DEFAULT_MAX_K, help=text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process and shared by every call,
@@ -279,15 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("greedy", help="greedy expansion of n/2^n or of x")
+    _add_max_k(p)
     p.add_argument("--n", type=int, help="expand n/2^n (n >= 2)")
     p.add_argument(
         "--x",
         metavar="P/Q",
         help="expand the fraction P/Q, 0 < x < 2; a non-dyadic x never "
         "terminates and exits 3 at the budget",
-    )
-    p.add_argument(
-        "--max-k", type=int, default=DEFAULT_MAX_K, help="term budget"
     )
     _add_format(p, "json")
     p.set_defaults(func=_cmd_greedy)
@@ -297,9 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("n_min", type=int)
     p.add_argument("n_max", type=int)
-    p.add_argument(
-        "--max-k", type=int, default=DEFAULT_MAX_K, help="per-n term budget"
-    )
+    _add_max_k(p)
     _add_jobs(p, "sweep")
     p.add_argument(
         "--figures",
@@ -335,9 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("a_start", type=int, help="starting term index (>= 3)")
     p.add_argument("depth", type=int, help="number of expansion steps")
-    p.add_argument(
-        "--max-k", type=int, default=DEFAULT_MAX_K, help="per-step term budget"
-    )
+    _add_max_k(p)
     _add_format(p, "csv")
     p.set_defaults(func=_cmd_chain)
 

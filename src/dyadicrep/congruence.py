@@ -23,9 +23,9 @@ is Pohlig-Hellman (1978) over those primes, with baby-step/giant-step
 in each prime-order subgroup, and a missing component is a proof that
 u has no row.
 
-Policy: moduli at or past psi_13 raise UnsupportedModulusError. That puts
-every u <= 78 in range; the rows for u in {99, 113, 119} ship as constants
-verified by check_row. table1 applies this policy to every u up to a bound.
+Policy: only is_prime raises UnsupportedModulusError, at psi_13. Every
+u <= 78 is decided (table1 stops there), and u = 80, 82 and 85 too (no
+rows); the rows for u in {99, 113, 119} ship as constants for check_row.
 """
 
 from __future__ import annotations
@@ -159,8 +159,8 @@ def _rho_split(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: e} of 1 <= n < PROVEN_PRIME_LIMIT, primes
-    ascending, each proven prime by is_prime."""
+    """Prime factorization {p: e} of n >= 1, primes ascending, each proven
+    prime by trial division or by is_prime, which raises past its limit."""
     if n < 1:
         raise ValueError("n must be positive")
     out: dict[int, int] = {}
@@ -211,7 +211,7 @@ def bsgs_dlog(
 
 def log2_mod(c: int, m: int) -> tuple[int, Optional[int]]:
     """(r, e): r = ord_m(2) and the least e >= 0 with 2**e == c (mod m),
-    or e = None when there is none, for odd 3 <= m < PROVEN_PRIME_LIMIT.
+    or e = None when there is none, for odd m >= 3 whose primes is_prime proves.
 
     m and each p - 1 are factored once; lambda(m), the lcm of
     p**(k-1) * (p-1) over the prime powers p**k of m, is stripped of each
@@ -222,8 +222,6 @@ def log2_mod(c: int, m: int) -> tuple[int, Optional[int]]:
     """
     if m < 3 or m % 2 == 0:
         raise ValueError("modulus must be an odd integer >= 3")
-    if m >= PROVEN_PRIME_LIMIT:
-        raise UnsupportedModulusError(f"modulus {m} >= psi_13")
     lam: dict[int, int] = {}
     for p, k in factorize(m).items():
         part = factorize(p - 1)
@@ -291,15 +289,16 @@ def solve_congruence(u: int) -> Optional[ProgressionRow]:
     """The progression row for u, or None when the tail constant 2**s - T
     of d = (u+2, u+3), whose logarithm is s + k0 - 2 mod r, is no power of
     2 mod M; log2_mod decides both outcomes. Raises UnsupportedModulusError
-    for M >= PROVEN_PRIME_LIMIT (u >= 79)."""
+    where is_prime cannot prove M's primes (u = 79, 81; past 78, u <= 399
+    decides only u = 80, 82 and 85)."""
     m, t, s = _tail((u + 2, u + 3))
     r, e = log2_mod((1 << s) - t, m)
     return None if e is None else ProgressionRow(u, (e - s + 1) % r + 1, r)
 
 
 # Progression table of the paper: every u <= 78 admitting a row (all are
-# recomputed by solve_congruence), plus the three rows past the proven-
-# prime policy, shipped as constants verified by check_row.
+# recomputed by solve_congruence), plus the three rows past u = 78 that
+# table1 does not compute, shipped as constants verified by check_row.
 TABLE_ROWS: tuple[ProgressionRow, ...] = (
     ProgressionRow(0, 4, 4),
     ProgressionRow(1, 5, 12),

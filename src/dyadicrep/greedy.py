@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 from .arith import VerificationError, sums_to
 
 if TYPE_CHECKING:
-    from fractions import Fraction
+    from numbers import Rational
 
 __all__ = [
     "DEFAULT_MAX_K",
@@ -102,23 +102,22 @@ def _certified_blocks(
 
 
 def greedy_representation(
-    x: Fraction, max_k: int = DEFAULT_MAX_K
+    x: Rational, max_k: int = DEFAULT_MAX_K
 ) -> tuple[tuple[int, ...], bool]:
     """Greedy expansion of x as a sum of distinct terms a/2**a, as
     (terms, terminated).
 
-    The first term is k0, the least index with k0/2**k0 strictly below x,
-    found for x = p/q by the integer test p << k0 > k0*q; the walk starts
-    from x_{k0} = (p << (k0-1))/q, with no fraction arithmetic after
-    parsing. terminated is True once the remainder hit zero; then the
-    terms sum exactly to x. Otherwise the term budget ran out first, after
-    max_k + 1 terms, and the terms are that prefix of the walk (the outcome
-    is then unknown, not a proof that no representation exists).
-    _certified_blocks proves each 64-aligned block of the walk in turn.
+    x is a numbers.Rational (an int or a fractions.Fraction), read as p/q
+    through x.numerator and x.denominator; the CLI is the one parser of
+    text, and a str raises TypeError. The first term is k0, the least
+    index with k0/2**k0 strictly below x, found by the integer test
+    p << k0 > k0*q; the walk starts from x_{k0} = (p << (k0-1))/q, with
+    no fraction arithmetic. terminated is True once the remainder hit
+    zero; then the terms sum exactly to x. Otherwise the term budget ran
+    out first, after max_k + 1 terms, and the terms are that prefix of the
+    walk (the outcome is then unknown, not a proof that no representation
+    exists). _certified_blocks proves each 64-aligned block in turn.
     """
-    from fractions import Fraction  # here: no other path needs it at start-up
-
-    x = Fraction(x)
     if not 0 < x < 2:
         raise ValueError("greedy expansion needs 0 < x < 2")
     p, q = x.numerator, x.denominator

@@ -113,7 +113,26 @@ def test_greedy_budget_exhaustion(capsys):
     assert payload["status"] == "budget exhausted"
     assert payload["terminated"] is False
     assert payload["k"] == 13 and tuple(payload["terms"]) == GREEDY_41[:13]
-    assert "exhausted" in err
+    assert "exhausted" in err and "stopped after 13 terms" in err
+
+
+def test_parameters_are_the_set_inputs_in_declaration_order(capsys):
+    # one rule for every command: an option left unset is not echoed, and
+    # greedy declares --max-k first, so its parameters start with max_k
+    def parameters(*argv):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        return json.loads(out)["parameters"]
+
+    defaults = [
+        ("enumerate", "2"), ("greedy", "--n", "41"), ("greedy", "--x", "1/2"),
+        ("sweep", "2", "10"), ("table1",), ("multiplicity",), ("chain", "8", "2"),
+    ]
+    for argv in defaults:
+        assert None not in parameters(*argv).values(), argv
+    assert list(parameters("greedy", "--n", "41")) == ["max_k", "n"]
+    half = parameters("greedy", "--x", "2/4")
+    assert list(half) == ["max_k", "x"] and half["x"] == "1/2"
 
 
 @pytest.mark.parametrize(
@@ -197,7 +216,7 @@ def test_sweep_budget_exhaustion(capsys):
     code, out, err = run_cli(capsys, "sweep", "41", "41", "--max-k", "5")
     assert code == 3
     assert out == f"n,k,a_k,terminated\n41,6,{GREEDY_41[5]},false\n"
-    assert "budget" in err
+    assert "budget" in err and "stopped after 6 terms" in err
 
 
 def test_sweep_jobs_invariant(capsys):
@@ -276,6 +295,8 @@ def test_table1_full_range_with_embedded_rows(capsys):
     assert out.splitlines() == expect
     assert "skipped, not claimed unsolvable" in err
     assert "(79..118)" in err  # 119 itself is embedded, 118 is the last skip
+    # the library decides u = 80, 82 and 85; table1 just does not try them
+    assert "table1 does not try them" in err and "proven-prime" not in err
 
 
 def test_table1_huge_u_max_counts_its_skips(capsys):
@@ -419,7 +440,7 @@ def test_chain_budget_exhaustion(capsys):
     code, out, err = run_cli(capsys, "chain", "8", "3", "--max-k", "50")
     assert code == 3
     assert out == "i,k_i,last_term\n1,13,32\n2,9,46\n"
-    assert "exhausted at step 3 of 3" in err
+    assert "exhausted at step 3 of 3" in err and "stopped after 51 terms" in err
 
 
 @pytest.mark.parametrize(
@@ -829,10 +850,11 @@ def test_startup_defers_the_pool_and_hashlib():
     # loads multiprocessing: sweep runs in one process whatever --jobs says,
     # and chain is the one command that loads hashlib. The records are
     # NamedTuples, so nothing loads dataclasses (or inspect), and only
-    # greedy --x loads fractions (and decimal)
+    # greedy --x loads fractions (and decimal): the library never does
     script = (
         "import sys\n"
         "from dyadicrep.cli import build_parser, main\n"
+        "from dyadicrep.greedy import greedy_representation\n"
         "build_parser()\n"
         "deferred = ('concurrent.futures', 'multiprocessing', 'hashlib',\n"
         "            'dataclasses', 'inspect', 'fractions', 'decimal')\n"
@@ -840,6 +862,8 @@ def test_startup_defers_the_pool_and_hashlib():
         "assert main(['sweep', '2', '300', '--jobs', '2']) == 0\n"
         "pool = sorted(m for m in deferred[:2] if m in sys.modules)\n"
         "assert main(['chain', '8', '1', '--format', 'json']) == 0\n"
+        "assert greedy_representation(1, 60) == ((1, 2), True)\n"
+        "assert 'fractions' not in sys.modules\n"
         "assert main(['greedy', '--x', '1/3', '--max-k', '60']) == 3\n"
         "print(pool, 'hashlib' in sys.modules, 'fractions' in sys.modules)\n"
     )

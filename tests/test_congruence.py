@@ -200,6 +200,28 @@ def test_solve_congruence_out_of_policy():
         solve_congruence(79)
 
 
+def test_is_prime_is_the_one_limit_past_u78():
+    # M lies past psi_13 from u = 79 on, but where trial division leaves a
+    # cofactor below it every prime is proven and the u is decided: it
+    # has no row, as sympy's order and logarithm confirm
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory.residue_ntheory import discrete_log
+
+    for u in (80, 82, 85):
+        m, c = u_modulus(u), (1 << (u + 4)) - (3 * u + 7)
+        assert m >= PROVEN_PRIME_LIMIT
+        assert solve_congruence(u) is None
+        r, e = log2_mod(c, m)
+        assert e is None and r == sympy.n_order(2, m)
+        with pytest.raises(ValueError, match="Log does not exist"):
+            discrete_log(m, c, 2)
+    for u in (79, 81):
+        with pytest.raises(UnsupportedModulusError):
+            solve_congruence(u)
+    # a modulus past psi_13 that trial division factors needs no is_prime
+    assert log2_mod(1, 3**60) == (2 * 3**59, 0)
+
+
 def test_inconsistent_logarithm_is_an_error(monkeypatch):
     # a Pohlig-Hellman result that fails the final check must not be
     # mistaken for "no row"

@@ -33,6 +33,14 @@ def test_k_zero_values():
     assert _k_zero(Fraction(3, 8)) == 4
 
 
+def test_greedy_representation_takes_a_rational():
+    # x is read through numerator and denominator: an int works as it is,
+    # and text is the CLI's to parse
+    assert greedy_representation(1, 10) == greedy_representation(Fraction(1), 10)
+    with pytest.raises(TypeError):
+        greedy_representation("1/2")
+
+
 def test_k_zero_domain():
     for bad in (Fraction(0), Fraction(2), Fraction(5, 2), Fraction(-1, 4)):
         with pytest.raises(ValueError):
